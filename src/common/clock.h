@@ -104,10 +104,10 @@ class LogicalClock {
 //       e·2^kEpochShift  <  begin_ts  <  (e+1)·2^kEpochShift.
 //
 // The reserve/publish split is the flush-window-atomicity hook: the commit
-// path *reserves* its visibility epoch, stamps every version chain with it,
-// and only then *publishes* — a concurrent lock-free Begin always reads a
-// published epoch, so its snapshot is strictly below any half-stamped
-// commit, and the stamping never needs to be atomic across stripes.
+// path *reserves* its visibility epoch, stores it into the transaction's
+// version-store commit stamp, and only then *publishes* — a concurrent
+// lock-free Begin always reads a published epoch, so its snapshot is
+// strictly below any commit still being flipped.
 //
 // Slot sequence numbers may wrap within an epoch: begin timestamps need not
 // be unique (visibility compares commit_ts <= snapshot_ts; commit

@@ -28,7 +28,8 @@
 //                                      with another stripe)
 //   ScanCache::entry_mu_        (33)   one object's last-committed-row cache
 //                                      (never nested with another entry)
-//   VersionStore::pending_mu_   (37)   txn -> dirty-chain-key bookkeeping
+//   VersionStore::pending_mu_   (37)   txn -> commit stamp + dirty-chain
+//                                      keys (never taken under a stripe)
 //   EpochReclaimer::retire_mu_  (38)   deferred-free retire pile
 //   VersionStore::version_stripe_mu_ (40) one version-chain stripe (never
 //                                      nested with another stripe)

@@ -60,13 +60,6 @@ void AppendSample(std::string* out, const std::string& name, uint64_t value) {
 
 // --- Histogram ---
 
-Histogram::Histogram() {
-  shards_.reserve(kShards);
-  for (int i = 0; i < kShards; i++) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 size_t Histogram::BucketFor(uint64_t value) {
   value = std::min(value, kMaxValue);
   if (value < kSub) return static_cast<size_t>(value);
@@ -90,7 +83,16 @@ Histogram::Shard& Histogram::ShardForThisThread() {
   static std::atomic<size_t> next_stripe{0};
   thread_local size_t stripe =
       next_stripe.fetch_add(1, std::memory_order_relaxed);
-  return *shards_[stripe % kShards];
+  const size_t i = stripe % kShards;
+  if (published_[i].load(std::memory_order_acquire) == nullptr) {
+    std::call_once(once_[i], [&] {
+      owned_[i] = std::make_unique<Shard>();
+      published_[i].store(owned_[i].get(), std::memory_order_release);
+    });
+  }
+  // Either the acquire load above or call_once ordered this read after
+  // the creating store.
+  return *owned_[i];
 }
 
 void Histogram::Record(uint64_t value) {
@@ -115,7 +117,9 @@ Histogram::Snapshot Histogram::Snap() const {
   Snapshot snap;
   snap.buckets.assign(kBuckets, 0);
   uint64_t min_seen = UINT64_MAX;
-  for (const auto& shard : shards_) {
+  for (const auto& slot : published_) {
+    const Shard* shard = slot.load(std::memory_order_acquire);
+    if (shard == nullptr) continue;  // never recorded into
     snap.count += shard->count.load(std::memory_order_relaxed);
     snap.sum += shard->sum.load(std::memory_order_relaxed);
     snap.max = std::max(snap.max, shard->max.load(std::memory_order_relaxed));

@@ -1,10 +1,12 @@
 #ifndef IVDB_OBS_METRICS_H_
 #define IVDB_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -56,15 +58,15 @@ class Gauge {
 //
 // Recording picks a shard by thread identity and touches only relaxed
 // atomics in that shard; Snapshot() merges all shards. Max/min are exact
-// (CAS loops); percentiles interpolate inside the winning bucket.
+// (CAS loops); percentiles interpolate inside the winning bucket. A shard
+// (~4.9 KB of buckets) is allocated by the first Record that lands on it,
+// so an engine's dozens of never-recorded histograms cost almost nothing.
 class Histogram {
  public:
   static constexpr int kSubBits = 4;               // 16 sub-buckets per octave
   static constexpr int kSub = 1 << kSubBits;       // 16
   static constexpr int kBuckets = kSub * (40 - kSubBits + 1) + kSub;
   static constexpr uint64_t kMaxValue = (1ull << 40) - 1;
-
-  Histogram();
 
   void Record(uint64_t value);
 
@@ -98,13 +100,18 @@ class Histogram {
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> min{UINT64_MAX};
     std::atomic<uint64_t> max{0};
-    std::vector<std::atomic<uint64_t>> buckets;  // size kBuckets
-    Shard() : buckets(kBuckets) {}
+    std::array<std::atomic<uint64_t>, kBuckets> buckets{};
   };
 
+  // This thread's shard, allocated on first use.
   Shard& ShardForThisThread();
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // owned_[i] is created once under once_[i]; published_[i] points at it
+  // (release) so Snap() can skip untouched shards without synchronizing
+  // with the creator.
+  std::array<std::once_flag, kShards> once_;
+  std::array<std::unique_ptr<Shard>, kShards> owned_;
+  std::array<std::atomic<const Shard*>, kShards> published_{};
 };
 
 // `base{key="value"}` — the spelling RenderPrometheus() expects for

@@ -30,46 +30,44 @@ VersionStore::Stripe& VersionStore::StripeFor(const ChainKey& ck) const {
   return *stripes_[h % stripes_.size()];
 }
 
-void VersionStore::NotePending(TxnId txn, ChainKey ck) {
+VersionStore::PendingTxn* VersionStore::PendingFor(TxnId txn) {
   MutexLock guard(&pending_mu_);
-  pending_[txn].push_back(std::move(ck));
+  PendingTxn& pending = pending_[txn];
+  if (!pending.stamp) pending.stamp = StampRef(txn);
+  return &pending;
 }
 
 #if IVDB_CHECKS_ENABLED
 namespace {
 
 // Structural invariants of one version chain (its stripe mutex held):
-//  - committed values appear before pendings, in ascending superseded_ts;
-//  - every pending entry (value or delta) carries a live owner;
-//  - at most one pending value version per owner.
+//  - resolved superseded timestamps are non-decreasing in insertion order,
+//    and a pending value version (resolved 0) can only be the last — so
+//    there is at most one;
+//  - every pending entry (value or delta) still references its stamp.
 // (Template so the private Chain type is deduced, not named.)
 template <typename ChainT>
 void CheckChainInvariants(const ChainT& chain) {
   uint64_t prev_ts = 0;
   bool seen_pending = false;
-  uint64_t pending_owners_seen = 0;
   for (const auto& v : chain.values) {
-    if (v.superseded_ts == 0) {
-      IVDB_INVARIANT(v.owner != 0, "pending value version must have an owner");
-      for (const auto& w : chain.values) {
-        if (&w != &v && w.superseded_ts == 0 && w.owner == v.owner) {
-          IVDB_INVARIANT(false, "duplicate pending value version for one txn");
-        }
-      }
+    const uint64_t superseded = v.Resolve();
+    IVDB_INVARIANT(!seen_pending,
+                   "value version ordered after a pending one");
+    if (superseded == 0) {
+      IVDB_INVARIANT(static_cast<bool>(v.stamp),
+                     "pending value version must reference its stamp");
       seen_pending = true;
-      pending_owners_seen++;
       continue;
     }
-    IVDB_INVARIANT(!seen_pending,
-                   "committed value version ordered after a pending one");
-    IVDB_INVARIANT(v.superseded_ts >= prev_ts,
-                   "committed value versions out of superseded_ts order");
-    prev_ts = v.superseded_ts;
+    IVDB_INVARIANT(superseded >= prev_ts,
+                   "value versions out of superseded_ts order");
+    prev_ts = superseded;
   }
-  (void)pending_owners_seen;
   for (const auto& d : chain.deltas) {
-    if (d.commit_ts == 0) {
-      IVDB_INVARIANT(d.owner != 0, "pending delta must have an owner");
+    if (d.Resolve() == 0) {
+      IVDB_INVARIANT(static_cast<bool>(d.stamp),
+                     "pending delta must reference its stamp");
     }
   }
 }
@@ -77,20 +75,22 @@ void CheckChainInvariants(const ChainT& chain) {
 }  // namespace
 #endif  // IVDB_CHECKS_ENABLED
 
-bool VersionStore::NotePendingWriteLocked(Stripe& stripe, uint32_t object_id,
-                                          const Slice& key,
+bool VersionStore::NotePendingWriteLocked(Stripe& stripe, const ChainKey& ck,
                                           std::optional<std::string> old_value,
-                                          TxnId txn) {
-  ChainKey ck{object_id, key.ToString()};
+                                          TxnId txn,
+                                          const PendingTxn& pending) {
   Chain& chain = stripe.chains[ck];
-  for (const ValueVersion& v : chain.values) {
-    if (v.superseded_ts == 0 && v.owner == txn) return false;  // already noted
+  for (ValueVersion& v : chain.values) {
+    v.CopyIn();
+    if (v.PendingOf(txn)) return false;  // already noted
   }
   ValueVersion v;
   v.value = std::move(old_value);
-  v.superseded_ts = 0;
-  v.owner = txn;
+  v.stamp = pending.stamp;
   chain.values.push_back(std::move(v));
+#if IVDB_CHECKS_ENABLED
+  CheckChainInvariants(chain);
+#endif
   return true;
 }
 
@@ -99,29 +99,29 @@ void VersionStore::NotePendingWrite(uint32_t object_id, const Slice& key,
                                     TxnId txn) {
   ChainKey ck{object_id, key.ToString()};
   Stripe& stripe = StripeFor(ck);
+  PendingTxn* pending = PendingFor(txn);
   bool created;
   {
     MutexLock guard(&stripe.version_stripe_mu_);
-    created =
-        NotePendingWriteLocked(stripe, object_id, key, std::move(old_value),
-                               txn);
+    created = NotePendingWriteLocked(stripe, ck, std::move(old_value), txn,
+                                     *pending);
   }
-  if (created) NotePending(txn, std::move(ck));
+  if (created) pending->keys.push_back(std::move(ck));
 }
 
 bool VersionStore::NotePendingIncrementLocked(
-    Stripe& stripe, uint32_t object_id, const Slice& key,
-    const std::vector<ColumnDelta>& deltas, TxnId txn, bool create_pending) {
-  ChainKey ck{object_id, key.ToString()};
+    Stripe& stripe, const ChainKey& ck, const std::vector<ColumnDelta>& deltas,
+    TxnId txn, const PendingTxn* pending) {
   auto chain_it = stripe.chains.find(ck);
   if (chain_it == stripe.chains.end()) {
-    if (!create_pending) return false;
-    chain_it = stripe.chains.emplace(std::move(ck), Chain{}).first;
+    if (pending == nullptr) return false;
+    chain_it = stripe.chains.emplace(ck, Chain{}).first;
   }
   Chain& chain = chain_it->second;
   // Coalesce with an existing pending delta entry of this transaction.
   for (DeltaVersion& d : chain.deltas) {
-    if (d.commit_ts == 0 && d.owner == txn) {
+    d.CopyIn();
+    if (d.PendingOf(txn)) {
       for (const ColumnDelta& nd : deltas) {
         bool merged = false;
         for (ColumnDelta& od : d.deltas) {
@@ -140,13 +140,12 @@ bool VersionStore::NotePendingIncrementLocked(
       return false;
     }
   }
-  if (!create_pending) {
+  if (pending == nullptr) {
     return false;  // undo path with nothing pending: physical only
   }
   DeltaVersion d;
   d.deltas = deltas;
-  d.commit_ts = 0;
-  d.owner = txn;
+  d.stamp = pending->stamp;
   chain.deltas.push_back(std::move(d));
   return true;
 }
@@ -156,13 +155,13 @@ void VersionStore::NotePendingIncrement(uint32_t object_id, const Slice& key,
                                         TxnId txn) {
   ChainKey ck{object_id, key.ToString()};
   Stripe& stripe = StripeFor(ck);
+  PendingTxn* pending = PendingFor(txn);
   bool created;
   {
     MutexLock guard(&stripe.version_stripe_mu_);
-    created = NotePendingIncrementLocked(stripe, object_id, key, deltas, txn,
-                                         /*create_pending=*/true);
+    created = NotePendingIncrementLocked(stripe, ck, deltas, txn, pending);
   }
-  if (created) NotePending(txn, std::move(ck));
+  if (created) pending->keys.push_back(std::move(ck));
 }
 
 Status VersionStore::ApplyIncrement(uint32_t object_id, const Slice& key,
@@ -173,6 +172,7 @@ Status VersionStore::ApplyIncrement(uint32_t object_id, const Slice& key,
                                     const std::function<Status()>& pre_apply) {
   ChainKey ck{object_id, key.ToString()};
   Stripe& stripe = StripeFor(ck);
+  PendingTxn* pending = create_pending ? PendingFor(txn) : nullptr;
   bool created = false;
   {
     MutexLock guard(&stripe.version_stripe_mu_);
@@ -182,7 +182,8 @@ Status VersionStore::ApplyIncrement(uint32_t object_id, const Slice& key,
       // value if every pending transaction commits, since physical already
       // contains the others' applied deltas). Worst case subtracts every
       // *positive* pending contribution of other transactions (they might
-      // all abort).
+      // all abort). A delta whose stamp is committed but not yet copied in
+      // counts as committed.
       std::string value;
       if (!tree->Get(key, &value)) {
         return Status::NotFound("escrow bound check: row missing");
@@ -204,7 +205,7 @@ Status VersionStore::ApplyIncrement(uint32_t object_id, const Slice& key,
         int64_t worst = candidate;
         if (chain_it != stripe.chains.end()) {
           for (const DeltaVersion& d : chain_it->second.deltas) {
-            if (d.commit_ts != 0 || d.owner == txn) continue;
+            if (d.Owner() == txn || d.Resolve() != 0) continue;
             for (const ColumnDelta& cd : d.deltas) {
               if (cd.column == bound.column && !cd.delta.is_null() &&
                   cd.delta.AsInt64() > 0) {
@@ -227,10 +228,9 @@ Status VersionStore::ApplyIncrement(uint32_t object_id, const Slice& key,
     // row, missing key) the bookkeeping must not claim a delta that never
     // landed.
     IVDB_RETURN_NOT_OK(ApplyIncrementToTree(tree, key, deltas));
-    created = NotePendingIncrementLocked(stripe, object_id, key, deltas, txn,
-                                         create_pending);
+    created = NotePendingIncrementLocked(stripe, ck, deltas, txn, pending);
   }
-  if (created) NotePending(txn, std::move(ck));
+  if (created) pending->keys.push_back(std::move(ck));
   return Status::OK();
 }
 
@@ -243,7 +243,7 @@ std::vector<std::vector<ColumnDelta>> VersionStore::PendingDeltas(
   auto it = stripe.chains.find(ck);
   if (it == stripe.chains.end()) return out;
   for (const DeltaVersion& d : it->second.deltas) {
-    if (d.commit_ts == 0 && d.owner != exclude_txn) {
+    if (d.Owner() != exclude_txn && d.Resolve() == 0) {
       out.push_back(d.deltas);
     }
   }
@@ -256,69 +256,44 @@ Status VersionStore::ApplyWithPendingWrite(
     const std::function<Status()>& apply) {
   ChainKey ck{object_id, key.ToString()};
   Stripe& stripe = StripeFor(ck);
+  PendingTxn* pending = PendingFor(txn);
   bool created;
   {
     MutexLock guard(&stripe.version_stripe_mu_);
     IVDB_RETURN_NOT_OK(apply());
-    created =
-        NotePendingWriteLocked(stripe, object_id, key, std::move(old_value),
-                               txn);
+    created = NotePendingWriteLocked(stripe, ck, std::move(old_value), txn,
+                                     *pending);
   }
-  if (created) NotePending(txn, std::move(ck));
+  if (created) pending->keys.push_back(std::move(ck));
   return Status::OK();
 }
 
 void VersionStore::Commit(TxnId txn, uint64_t commit_ts) {
-  // Snapshot the dirty-key list first (pending_mu_), then stamp chains one
-  // stripe at a time. Nothing can add to the list in between: only the
-  // owning transaction's thread appends, and its writes happened-before
-  // whichever thread is flipping it here (flip_queue_ hand-off under the
-  // txn manager's visibility mutex).
-  std::vector<ChainKey> keys;
+  IVDB_CHECK_MSG(commit_ts != 0, "commit timestamp 0 means pending");
+  // Take the record out first (pending_mu_). Nothing can add to its key
+  // list in between: only the owning transaction's thread appends, and its
+  // writes happened-before whichever thread is flipping it here
+  // (flip_queue_ hand-off under the txn manager's visibility mutex).
+  PendingTxn record;
   {
     MutexLock guard(&pending_mu_);
     auto it = pending_.find(txn);
     if (it == pending_.end()) return;
-    keys = std::move(it->second);
+    record = std::move(it->second);
     pending_.erase(it);
   }
-  for (const ChainKey& ck : keys) {
-    Stripe& stripe = StripeFor(ck);
-    {
-      MutexLock guard(&stripe.version_stripe_mu_);
-      auto chain_it = stripe.chains.find(ck);
-      if (chain_it == stripe.chains.end()) continue;
-      Chain& chain = chain_it->second;
-      for (ValueVersion& v : chain.values) {
-        if (v.superseded_ts == 0 && v.owner == txn) {
-          v.superseded_ts = commit_ts;
-          v.owner = 0;
-        }
-      }
-      for (DeltaVersion& d : chain.deltas) {
-        if (d.commit_ts == 0 && d.owner == txn) {
-          d.commit_ts = commit_ts;
-          d.owner = 0;
-        }
-      }
-      // Keep committed value versions sorted by superseded_ts (pendings,
-      // with ts 0, conceptually sort last).
-      std::stable_sort(chain.values.begin(), chain.values.end(),
-                       [](const ValueVersion& a, const ValueVersion& b) {
-                         uint64_t ta = a.superseded_ts == 0 ? UINT64_MAX
-                                                            : a.superseded_ts;
-                         uint64_t tb = b.superseded_ts == 0 ? UINT64_MAX
-                                                            : b.superseded_ts;
-                         return ta < tb;
-                       });
-#if IVDB_CHECKS_ENABLED
-      CheckChainInvariants(chain);
-#endif
+  // The flip itself: every entry of the transaction resolves through this
+  // one stamp. A reader that drew its snapshot before the caller publishes
+  // commit_ts has snapshot_ts < commit_ts, so it keeps resolving the
+  // pre-image whether it loads the stamp before or after this store.
+  record.stamp->ts.store(commit_ts, std::memory_order_release);
+  // Invalidation hook, no stripe held (rank 20 -> 33 only, never
+  // 40 -> 33). The commit is not yet published: any snapshot that can see
+  // commit_ts draws its begin_ts after the publish, hence after this.
+  if (commit_hook_) {
+    for (const ChainKey& ck : record.keys) {
+      commit_hook_(ck.first, ck.second, commit_ts);
     }
-    // Invalidation hook outside the stripe (rank 20 -> 33 only, never
-    // 40 -> 33). The commit is not yet published: any snapshot that can see
-    // commit_ts draws its begin_ts after the publish, hence after this.
-    if (commit_hook_) commit_hook_(ck.first, ck.second, commit_ts);
   }
 }
 
@@ -328,12 +303,13 @@ void VersionStore::Abort(TxnId txn, uint64_t retire_stamp) {
     MutexLock guard(&pending_mu_);
     auto it = pending_.find(txn);
     if (it == pending_.end()) return;
-    keys = std::move(it->second);
+    keys = std::move(it->second.keys);
     pending_.erase(it);
   }
   // Unlink under the stripes, free via the epoch reclaimer: same discipline
   // as GarbageCollect, so NO version payload is ever destroyed while a
-  // stripe mutex is held.
+  // stripe mutex is held. The stamp is never stored, so the entries read
+  // as pending, never as committed, until they are unlinked.
   auto batch = std::make_shared<RetiredVersions>();
   for (const ChainKey& ck : keys) {
     Stripe& stripe = StripeFor(ck);
@@ -341,20 +317,14 @@ void VersionStore::Abort(TxnId txn, uint64_t retire_stamp) {
     auto chain_it = stripe.chains.find(ck);
     if (chain_it == stripe.chains.end()) continue;
     Chain& chain = chain_it->second;
-    auto mine_v = [txn](const ValueVersion& v) {
-      return v.superseded_ts == 0 && v.owner == txn;
-    };
-    auto mine_d = [txn](const DeltaVersion& d) {
-      return d.commit_ts == 0 && d.owner == txn;
-    };
-    auto v_it =
-        std::stable_partition(chain.values.begin(), chain.values.end(),
-                              [&](const ValueVersion& v) { return !mine_v(v); });
+    auto v_it = std::stable_partition(
+        chain.values.begin(), chain.values.end(),
+        [txn](const ValueVersion& v) { return !v.PendingOf(txn); });
     std::move(v_it, chain.values.end(), std::back_inserter(batch->values));
     chain.values.erase(v_it, chain.values.end());
-    auto d_it =
-        std::stable_partition(chain.deltas.begin(), chain.deltas.end(),
-                              [&](const DeltaVersion& d) { return !mine_d(d); });
+    auto d_it = std::stable_partition(
+        chain.deltas.begin(), chain.deltas.end(),
+        [txn](const DeltaVersion& d) { return !d.PendingOf(txn); });
     std::move(d_it, chain.deltas.end(), std::back_inserter(batch->deltas));
     chain.deltas.erase(d_it, chain.deltas.end());
     if (chain.values.empty() && chain.deltas.empty()) {
@@ -379,45 +349,35 @@ VersionStore::SnapshotView VersionStore::GetAsOfLocked(
   if (it == stripe.chains.end()) return view;
   const Chain& chain = it->second;
 
-  // 1. A committed superseded value with superseded_ts > snapshot_ts is the
-  //    base image the reader must see (the oldest such, since versions are
-  //    ordered oldest-first). That image physically contains every
-  //    increment committed before it was captured, so increments committed
-  //    in (snapshot_ts, superseded_ts) — invisible to the reader but baked
-  //    into the image — must still be stripped. (Lock conflicts guarantee
-  //    increments and image-superseding writes serialize in commit order.)
+  // 1. The oldest value version the snapshot cannot see — superseded after
+  //    snapshot_ts, or pending (the pre-image of an in-flight write) — is
+  //    the base image (versions are in commit order, a pending one last).
+  //    That image physically contains every increment committed before it
+  //    was captured, so increments committed in (snapshot_ts, superseded)
+  //    — invisible to the reader but baked into the image — must still be
+  //    stripped; below a pending write every committed increment above
+  //    snapshot_ts is. (Lock conflicts guarantee increments and
+  //    image-superseding writes serialize in commit order; pending
+  //    increments cannot coexist with a pending write: E conflicts with X.)
   for (const ValueVersion& v : chain.values) {
-    if (v.superseded_ts != 0 && v.superseded_ts > snapshot_ts) {
-      view.use_chain_value = true;
-      view.chain_value = v.value;
-      for (const DeltaVersion& d : chain.deltas) {
-        if (d.commit_ts != 0 && d.commit_ts > snapshot_ts &&
-            d.commit_ts < v.superseded_ts) {
-          view.subtract.push_back(d.deltas);
-        }
+    const uint64_t superseded = v.Resolve();
+    if (superseded != 0 && superseded <= snapshot_ts) continue;
+    view.use_chain_value = true;
+    view.chain_value = v.value;
+    for (const DeltaVersion& d : chain.deltas) {
+      const uint64_t committed = d.Resolve();
+      if (committed > snapshot_ts &&
+          (superseded == 0 || committed < superseded)) {
+        view.subtract.push_back(d.deltas);
       }
-      return view;
     }
+    return view;
   }
-  // 2. A pending write's old value is the current committed state; strip
-  //    committed increments the snapshot must not see (pending increments
-  //    cannot coexist with a pending write: E conflicts with X).
-  for (const ValueVersion& v : chain.values) {
-    if (v.superseded_ts == 0) {
-      view.use_chain_value = true;
-      view.chain_value = v.value;
-      for (const DeltaVersion& d : chain.deltas) {
-        if (d.commit_ts != 0 && d.commit_ts > snapshot_ts) {
-          view.subtract.push_back(d.deltas);
-        }
-      }
-      return view;
-    }
-  }
-  // 3. Otherwise reconstruct by stripping invisible increments off the
+  // 2. Otherwise reconstruct by stripping invisible increments off the
   //    physical value.
   for (const DeltaVersion& d : chain.deltas) {
-    if (d.commit_ts == 0 || d.commit_ts > snapshot_ts) {
+    const uint64_t committed = d.Resolve();
+    if (committed == 0 || committed > snapshot_ts) {
       view.subtract.push_back(d.deltas);
     }
   }
@@ -480,19 +440,20 @@ uint64_t VersionStore::GarbageCollect(uint64_t oldest_active_ts,
     MutexLock guard(&stripe->version_stripe_mu_);
     for (auto it = stripe->chains.begin(); it != stripe->chains.end();) {
       Chain& chain = it->second;
-      auto live_value = [&](const ValueVersion& v) {
-        return v.superseded_ts == 0 || v.superseded_ts > oldest_active_ts;
-      };
-      auto live_delta = [&](const DeltaVersion& d) {
-        return d.commit_ts == 0 || d.commit_ts > oldest_active_ts;
+      // Copy committed stamps in, dropping the references.
+      for (ValueVersion& v : chain.values) v.CopyIn();
+      for (DeltaVersion& d : chain.deltas) d.CopyIn();
+      auto live = [&](const Stamped& e) {
+        const uint64_t ts = e.Resolve();
+        return ts == 0 || ts > oldest_active_ts;
       };
       size_t before = chain.values.size() + chain.deltas.size();
       auto v_it = std::stable_partition(chain.values.begin(),
-                                        chain.values.end(), live_value);
+                                        chain.values.end(), live);
       std::move(v_it, chain.values.end(), std::back_inserter(batch->values));
       chain.values.erase(v_it, chain.values.end());
       auto d_it = std::stable_partition(chain.deltas.begin(),
-                                        chain.deltas.end(), live_delta);
+                                        chain.deltas.end(), live);
       std::move(d_it, chain.deltas.end(), std::back_inserter(batch->deltas));
       chain.deltas.erase(d_it, chain.deltas.end());
       size_t after = chain.values.size() + chain.deltas.size();

@@ -1,10 +1,13 @@
 #ifndef IVDB_STORAGE_VERSION_STORE_H_
 #define IVDB_STORAGE_VERSION_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <functional>
@@ -47,12 +50,20 @@ namespace ivdb {
 // Concurrency: chains are striped — (object, key) hashes onto a fixed
 // array of cache-line-aligned stripes, each with its own mutex and chain
 // map, so writers on independent keys never contend. All stripe mutexes
-// share one rank, which forbids nesting two (multi-key operations —
-// commit/abort stamping, GC, scans — visit stripes one at a time). The
-// txn -> dirty-chain-key bookkeeping (pending_) lives under its own
-// pending_mu_, ranked below the stripes; pending notes are recorded after
-// the stripe is released, which is safe because only the owning
-// transaction's thread reads or writes its own entry until commit/abort.
+// share one rank, which forbids nesting two (multi-key operations — abort,
+// GC, scans — visit stripes one at a time). The txn -> stamp and
+// dirty-chain-key bookkeeping (pending_) lives under its own pending_mu_,
+// ranked below the stripes and taken only with no stripe held: a writer
+// fetches its record before taking the stripe and records a new dirty key
+// after releasing it, which is safe because only the owning transaction's
+// thread touches its own key list until commit/abort.
+//
+// Commit stamps: every pending entry of a transaction shares one
+// CommitStamp, so Commit is one release-store of the commit timestamp,
+// whatever the number or length of the chains it touched — no stripe
+// mutex, no chain walk. Readers resolve an entry's timestamp through the
+// stamp (acquire) until GC or the next writer under the entry's stripe
+// copies it in (docs/INTERNALS.md §5, §7).
 //
 // Reclamation is epoch-based (docs/INTERNALS.md §7): GarbageCollect and
 // Abort only UNLINK dead versions under the stripes; the payloads move into
@@ -125,7 +136,8 @@ class VersionStore {
                                TxnId txn, const std::function<Status()>& apply);
 
   // Converts all pending entries of `txn` into committed versions stamped
-  // with commit_ts.
+  // with commit_ts (> 0): one store into the transaction's CommitStamp, then
+  // the commit hook for each dirty key. Takes pending_mu_ only.
   void Commit(TxnId txn, uint64_t commit_ts);
 
   // Discards all pending entries of `txn` (the physical rollback restores
@@ -136,7 +148,7 @@ class VersionStore {
   void Abort(TxnId txn, uint64_t retire_stamp = 0);
 
   // Commit-visibility hook, fired once per dirty (object, key) of each
-  // Commit(txn, commit_ts) AFTER that key's stripe mutex is released. The
+  // Commit(txn, commit_ts) after the stamp store, with no stripe held. The
   // scan cache uses it for precise invalidation. Install before concurrent
   // use (Database construction); not synchronized.
   using CommitHook =
@@ -212,18 +224,90 @@ class VersionStore {
   std::vector<std::string> ListChainKeys(uint32_t object_id) const;
 
  private:
-  struct ValueVersion {
-    std::optional<std::string> value;  // committed value before superseded_ts
-    uint64_t superseded_ts = 0;        // 0 => pending
-    TxnId owner = 0;                   // valid while pending
+  // One per writing transaction, shared by every pending entry it creates.
+  // The visibility flip is one release-store of the commit timestamp here;
+  // until then the entries read as pending.
+  struct CommitStamp {
+    std::atomic<uint64_t> ts{0};  // 0 => not committed
+    TxnId owner = 0;
+    std::atomic<uint32_t> refs{1};
   };
-  struct DeltaVersion {
+
+  // Counted reference to a CommitStamp; the last one frees it. Intrusive,
+  // so an entry pays 8 bytes for it instead of a shared_ptr's 16 — entries
+  // keep their pre-stamp size, which matters because chains are stored
+  // per key and most hold a single entry.
+  class StampRef {
+   public:
+    StampRef() = default;
+    explicit StampRef(TxnId owner)
+        : stamp_(std::make_unique<CommitStamp>().release()) {
+      stamp_->owner = owner;
+    }
+    StampRef(const StampRef& other) : stamp_(other.stamp_) {
+      if (stamp_ != nullptr) {
+        stamp_->refs.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    StampRef(StampRef&& other) noexcept
+        : stamp_(std::exchange(other.stamp_, nullptr)) {}
+    StampRef& operator=(StampRef other) noexcept {
+      std::swap(stamp_, other.stamp_);
+      return *this;
+    }
+    ~StampRef() { reset(); }
+
+    void reset() {
+      CommitStamp* stamp = std::exchange(stamp_, nullptr);
+      if (stamp != nullptr &&
+          stamp->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        std::unique_ptr<CommitStamp> last(stamp);  // last reference frees it
+      }
+    }
+    CommitStamp* operator->() const { return stamp_; }
+    explicit operator bool() const { return stamp_ != nullptr; }
+
+   private:
+    CommitStamp* stamp_ = nullptr;
+  };
+
+  // Commit-timestamp bookkeeping common to value and delta entries. While
+  // `stamp` is set the timestamp lives in the owner's CommitStamp; the next
+  // writer under the entry's stripe, or GC, copies a committed stamp's
+  // timestamp into `ts` and drops the reference (CopyIn).
+  struct Stamped {
+    uint64_t ts = 0;  // copied-in commit timestamp; meaningless while stamped
+    StampRef stamp;
+
+    // The commit timestamp, 0 while the owner has not committed.
+    uint64_t Resolve() const {
+      return stamp ? stamp->ts.load(std::memory_order_acquire) : ts;
+    }
+    // The owner while the entry still references its stamp, else 0.
+    TxnId Owner() const { return stamp ? stamp->owner : 0; }
+    bool PendingOf(TxnId txn) const { return Owner() == txn && Resolve() == 0; }
+    void CopyIn() {
+      if (!stamp) return;
+      const uint64_t committed = stamp->ts.load(std::memory_order_acquire);
+      if (committed == 0) return;
+      ts = committed;
+      stamp.reset();
+    }
+  };
+  // A committed value superseded at Resolve() (0 => pending: the value
+  // before the owner's in-flight write).
+  struct ValueVersion : Stamped {
+    std::optional<std::string> value;
+  };
+  // An escrow delta committed at Resolve() (0 => pending).
+  struct DeltaVersion : Stamped {
     std::vector<ColumnDelta> deltas;
-    uint64_t commit_ts = 0;  // 0 => pending
-    TxnId owner = 0;         // valid while pending
   };
   struct Chain {
-    // Committed versions in ascending superseded_ts order, then pendings.
+    // Insertion order, which is commit order: X locks admit one value
+    // writer at a time and hold it through its flip, so resolved
+    // timestamps never decrease along the vector and a pending entry can
+    // only be last.
     std::vector<ValueVersion> values;
     std::vector<DeltaVersion> deltas;
   };
@@ -250,33 +334,44 @@ class VersionStore {
 
   Stripe& StripeFor(const ChainKey& ck) const;
 
+  // A writing transaction's stamp and the chain keys it has pending
+  // entries in (for O(changes) commit/abort).
+  struct PendingTxn {
+    StampRef stamp;  // set by PendingFor
+    // Appended without pending_mu_ by the owning transaction's thread only;
+    // Commit/Abort take the record out under pending_mu_ after the owner's
+    // last write happened-before them (see Commit).
+    std::vector<ChainKey> keys;
+  };
+
+  // `txn`'s record, created on first use (pending_mu_). Called before the
+  // caller takes a stripe, so pending_mu_ is never acquired under one; map
+  // nodes are stable, so the pointer outlives the mutex.
+  PendingTxn* PendingFor(TxnId txn);
+
   // Unlocked internals (the owning stripe's mutex held by caller). The
-  // note helpers return true when they created a new pending entry, which
-  // the caller records in pending_ after releasing the stripe.
-  bool NotePendingWriteLocked(Stripe& stripe, uint32_t object_id,
-                              const Slice& key,
-                              std::optional<std::string> old_value, TxnId txn)
+  // note helpers return true when they created a new pending entry, whose
+  // key the caller then records in `pending->keys`. A null `pending` (the
+  // undo path's create_pending = false) never creates one.
+  bool NotePendingWriteLocked(Stripe& stripe, const ChainKey& ck,
+                              std::optional<std::string> old_value, TxnId txn,
+                              const PendingTxn& pending)
       IVDB_REQUIRES(stripe.version_stripe_mu_);
-  bool NotePendingIncrementLocked(Stripe& stripe, uint32_t object_id,
-                                  const Slice& key,
+  bool NotePendingIncrementLocked(Stripe& stripe, const ChainKey& ck,
                                   const std::vector<ColumnDelta>& deltas,
-                                  TxnId txn, bool create_pending)
+                                  TxnId txn, const PendingTxn* pending)
       IVDB_REQUIRES(stripe.version_stripe_mu_);
   SnapshotView GetAsOfLocked(const Stripe& stripe, uint32_t object_id,
                              const Slice& key, uint64_t snapshot_ts) const
       IVDB_REQUIRES(stripe.version_stripe_mu_);
 
-  // Appends `ck` to `txn`'s dirty-key list (pending_mu_).
-  void NotePending(TxnId txn, ChainKey ck);
-
   // Striped chain map (fixed size after construction).
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
-  // txn -> keys it has pending entries in (for O(changes) commit/abort).
-  // Ranked below the stripes: commit/abort/GC snapshot the key list here,
-  // then stamp chains one stripe at a time.
+  // txn -> its stamp and dirty keys. Ranked below the stripes and never
+  // taken while one is held.
   mutable RankedMutex pending_mu_{LockRank::kVersionPending, "pending_mu_"};
-  std::map<TxnId, std::vector<ChainKey>> pending_ IVDB_GUARDED_BY(pending_mu_);
+  std::map<TxnId, PendingTxn> pending_ IVDB_GUARDED_BY(pending_mu_);
 
   // Deferred-free pile for unlinked versions (rank 38, taken with no
   // stripe held).

@@ -369,7 +369,10 @@ void TransactionManager::FlipCommittedLocked(Lsn durable_upto) {
     flip_queue_.pop_front();
     // Reserve-stamp-publish: a lock-free Begin racing this flip reads the
     // PREVIOUS published epoch, so its snapshot is strictly below
-    // visible_ts and never observes the half-stamped chains.
+    // visible_ts and resolves the pre-images whether or not it sees the
+    // stamp. The stamp is one store into the transaction's CommitStamp
+    // plus the scan-cache hooks for its dirty keys: constant work per
+    // transaction, whatever the length of the chains it touched.
     const uint64_t visible_ts = clock_.ReserveCommitTs();
     version_store_->Commit(t->id(), visible_ts);
     // From here on a checkpoint capture sees this transaction's effects in

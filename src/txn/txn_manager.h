@@ -80,8 +80,9 @@ struct TxnManagerMetrics {
 //   2. group-commit flush of the WAL up to the COMMIT record;
 //   3. under the visibility mutex again: pop the flip queue in LSN order
 //      while the head's COMMIT LSN is covered by the durable watermark —
-//      for each popped transaction, reserve a fresh visible_ts, flip its
-//      version-store entries to committed stamped with it, then publish;
+//      for each popped transaction, reserve a fresh visible_ts, store it
+//      into the transaction's version-store commit stamp (which all of its
+//      entries share), fire the scan-cache hooks, then publish;
 //   4. append END, release all locks.
 //
 // Step 3 is the in-LSN-order visibility sequencer the parallel group
@@ -324,7 +325,7 @@ class TransactionManager {
   // Serializes commit-epoch draws + the in-LSN-order version-store flip
   // sequencer (see class comment). Begin's snapshot draw no longer takes
   // it — EpochClock's publish protocol orders lock-free snapshots against
-  // half-stamped flips.
+  // unpublished flips.
   RankedMutex visibility_mu_{LockRank::kTxnVisibility, "visibility_mu_"};
   // COMMIT-appended-but-not-yet-flipped user transactions, in COMMIT LSN
   // order (appends happen under visibility_mu_).

@@ -319,14 +319,19 @@ Status ViewMaintainer::ApplyAggregateDelta(Transaction* txn,
       }
       IVDB_RETURN_NOT_OK(s);
     }
-    IVDB_RETURN_NOT_OK(
-        locks_->Lock(txn->id(), ResourceId::Key(view_id_, key), row_mode));
+    const ResourceId row = ResourceId::Key(view_id_, key);
+    const bool held_before = locks_->HeldMode(txn->id(), row) != LockMode::kNL;
+    IVDB_RETURN_NOT_OK(locks_->Lock(txn->id(), row, row_mode));
     if (tree->Contains(key)) {
       locked_and_present = true;
       break;
     }
     // The ghost cleaner reclaimed the row between creation and our lock
-    // acquisition; go around again.
+    // acquisition; go around again. A row lock first taken in this attempt
+    // is released first: the statement has neither read nor written the
+    // row under it, and keeping it would fail every later CreateGhost's
+    // TryLock(X) on this key.
+    if (!held_before) locks_->Unlock(txn->id(), row);
     metrics_.ghost_create_races->Add();
     backoff(attempt);
   }

@@ -76,6 +76,34 @@ Status DecodeSegment(const std::string& contents, bool strict,
   return Status::OK();
 }
 
+// Stores `value` little-endian at `dst` (a frame's length/CRC slot).
+void StoreFixed32(char* dst, uint32_t value) {
+  for (int i = 0; i < 4; i++) {
+    dst[i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+// Appends one framed record, [len][crc][body], to `dst` and returns the
+// frame's size. The body is [type][system_txn][varint lsn] + `tail`, where
+// `tail` is rec.EncodeTailTo's output, so the bytes equal framing
+// rec.EncodeTo's whole body. The caller encodes `tail` before taking the
+// mutex that orders LSNs; under it only the header, the copy and the
+// checksum remain.
+size_t AppendFrame(const LogRecord& rec, const std::string& tail,
+                   std::string* dst) {
+  const size_t frame_start = dst->size();
+  dst->append(8, '\0');  // [len][crc], filled in below
+  dst->push_back(static_cast<char>(rec.type));
+  dst->push_back(rec.system_txn ? '\1' : '\0');
+  PutVarint64(dst, rec.lsn);
+  dst->append(tail);
+  char* frame = dst->data() + frame_start;
+  const size_t body_len = dst->size() - frame_start - 8;
+  StoreFixed32(frame, static_cast<uint32_t>(body_len));
+  StoreFixed32(frame + 4, Crc32(frame + 8, body_len));
+  return body_len + 8;
+}
+
 }  // namespace
 
 LogManagerMetrics::LogManagerMetrics(obs::MetricsRegistry* registry)
@@ -259,25 +287,27 @@ Status LogManager::Append(LogRecord* rec) {
   if (poisoned()) {
     return Status::Unavailable("WAL is poisoned; engine is read-only");
   }
-  std::string body;
-  // LSN must be assigned while holding buf_mu_ so buffer order == LSN order.
-  MutexLock guard(&buf_mu_);
-  rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-  // WAL LSN monotonicity: every record appended must extend the buffered
-  // prefix — a regression here silently reorders recovery.
-  IVDB_INVARIANT(rec->lsn > buffered_upto_,
-                 "WAL LSN must advance past the buffered prefix");
-  IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
-                 "WAL LSN must advance past the flushed prefix");
-  rec->EncodeTo(&body);
-  PutFixed32(&buffer_, static_cast<uint32_t>(body.size()));
-  PutFixed32(&buffer_, Crc32(body.data(), body.size()));
-  buffer_.append(body);
-  buffered_upto_ = rec->lsn;
+  std::string tail;
+  rec->EncodeTailTo(&tail);
+  size_t frame_bytes;
+  {
+    // LSN must be assigned while holding buf_mu_ so buffer order == LSN
+    // order.
+    MutexLock guard(&buf_mu_);
+    rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
+    // WAL LSN monotonicity: every record appended must extend the buffered
+    // prefix — a regression here silently reorders recovery.
+    IVDB_INVARIANT(rec->lsn > buffered_upto_,
+                   "WAL LSN must advance past the buffered prefix");
+    IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
+                   "WAL LSN must advance past the flushed prefix");
+    frame_bytes = AppendFrame(*rec, tail, &buffer_);
+    buffered_upto_ = rec->lsn;
+  }
   metrics_.records_appended->Add();
-  metrics_.bytes_appended->Add(body.size() + 8);
-  appended_bytes_.fetch_add(body.size() + 8, std::memory_order_relaxed);
-  obs::EmitTrace(obs::TraceEventType::kWalAppend, rec->lsn, body.size() + 8);
+  metrics_.bytes_appended->Add(frame_bytes);
+  appended_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);
+  obs::EmitTrace(obs::TraceEventType::kWalAppend, rec->lsn, frame_bytes);
   return Status::OK();
 }
 
@@ -466,24 +496,25 @@ Status LogManager::AppendStaged(LogRecord* rec) {
     FirePendingPoisonCallback();
     return Status::Unavailable("WAL is poisoned; engine is read-only");
   }
-  StagingShard& shard = *shards_[ShardIndex()];
-  // The LSN is drawn while holding the shard mutex, so a shard's staged
-  // vector is internally LSN-sorted and the writer's cross-shard merge only
-  // ever has *transient* head-of-line gaps (a committer caught between its
-  // fetch_add and its emplace lives in some shard the writer has yet to
-  // drain — and it cannot be THIS shard, which we hold).
-  MutexLock guard(&shard.wal_shard_mu_);
-  rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-  IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
-                 "WAL LSN must advance past the flushed prefix");
-  std::string body;
-  rec->EncodeTo(&body);
+  std::string tail;
+  rec->EncodeTailTo(&tail);
   std::string frame;
-  PutFixed32(&frame, static_cast<uint32_t>(body.size()));
-  PutFixed32(&frame, Crc32(body.data(), body.size()));
-  frame.append(body);
-  const uint64_t frame_bytes = frame.size();
-  shard.staged.emplace_back(rec->lsn, std::move(frame));
+  frame.reserve(8 + 12 + tail.size());  // [len][crc] + max header + tail
+  StagingShard& shard = *shards_[ShardIndex()];
+  uint64_t frame_bytes;
+  {
+    // The LSN is drawn while holding the shard mutex, so a shard's staged
+    // vector is internally LSN-sorted and the writer's cross-shard merge
+    // only ever has *transient* head-of-line gaps (a committer caught
+    // between its fetch_add and its emplace lives in some shard the writer
+    // has yet to drain — and it cannot be THIS shard, which we hold).
+    MutexLock guard(&shard.wal_shard_mu_);
+    rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
+    IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
+                   "WAL LSN must advance past the flushed prefix");
+    frame_bytes = AppendFrame(*rec, tail, &frame);
+    shard.staged.emplace_back(rec->lsn, std::move(frame));
+  }
   metrics_.records_appended->Add();
   metrics_.bytes_appended->Add(frame_bytes);
   appended_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);

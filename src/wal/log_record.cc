@@ -41,6 +41,10 @@ void LogRecord::EncodeTo(std::string* dst) const {
   dst->push_back(static_cast<char>(type));
   dst->push_back(system_txn ? '\1' : '\0');
   PutVarint64(dst, lsn);
+  EncodeTailTo(dst);
+}
+
+void LogRecord::EncodeTailTo(std::string* dst) const {
   PutVarint64(dst, prev_lsn);
   PutVarint64(dst, txn_id);
   PutVarint64(dst, object_id);

@@ -89,8 +89,11 @@ struct LogRecord {
   uint64_t timestamp = 0;
 
   // Serializes the record body (no framing; the log manager frames with
-  // length + CRC).
+  // length + CRC): [type][system_txn][varint lsn] followed by the tail.
   void EncodeTo(std::string* dst) const;
+  // Serializes the body's tail, everything after the LSN. It does not depend
+  // on the LSN, so the log manager encodes it before drawing one.
+  void EncodeTailTo(std::string* dst) const;
   static Status DecodeFrom(Slice input, LogRecord* out);
 
   std::string ToString() const;

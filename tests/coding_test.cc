@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/random.h"
 
 namespace ivdb {
@@ -205,6 +206,39 @@ TEST(OrderedString, ConcatenationRemainsParseable) {
   ASSERT_TRUE(DecodeOrderedString(&input, &b));
   EXPECT_EQ(a, "first");  // string literal stops at embedded NUL
   EXPECT_EQ(b, "second");
+}
+
+// Bytewise CRC-32 (IEEE, reflected) straight from the polynomial: the
+// reference the table-sliced implementation must agree with bit for bit.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; i++) {
+    c ^= p[i];
+    for (int k = 0; k < 8; k++) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32("a", 1), 0xE8B7BE43u);
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Random rnd(301);
+  std::vector<unsigned char> buf(300 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rnd.Next());
+  for (size_t offset = 0; offset < 8; offset++) {
+    for (size_t len = 0; len + offset <= buf.size() && len <= 300; len++) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 }  // namespace

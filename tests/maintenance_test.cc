@@ -233,6 +233,40 @@ TEST_F(MaintenanceTest, ApplyCreatesGhostThenIncrements) {
   EXPECT_EQ(maintainer_.metrics().ghosts_created->Value(), 1u);
 }
 
+// The ghost cleaner reclaims a freshly created ghost before the maintaining
+// statement's E lock lands. The statement must drop the E lock it took in
+// that attempt before going around: kept, it fails every later
+// CreateGhost's TryLock(X) on the key and the insert ends in Busy. The
+// reclaim is driven deterministically from the version store's commit hook,
+// which fires inside the ghost-creating system transaction's commit, before
+// the statement requests its E lock.
+TEST_F(MaintenanceTest, GhostReclaimedBeforeTheELockIsRecreated) {
+  const std::string key = EncodeKeyValues({Value::Int64(7)});
+  int reclaims = 0;
+  harness_.versions_.SetCommitHook(
+      [&](uint32_t object_id, const std::string& hook_key, uint64_t) {
+        if (object_id != kView || hook_key != key || reclaims > 0) return;
+        reclaims++;
+        EXPECT_TRUE(harness_.GetIndex(kView)->Delete(hook_key));
+      });
+
+  Transaction* txn = harness_.txns_.Begin();
+  Status s = maintainer_.ApplyBaseChange(txn, Insert(1, 7, 5));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(harness_.txns_.Commit(txn).ok());
+  harness_.versions_.SetCommitHook(nullptr);
+
+  EXPECT_EQ(reclaims, 1);
+  EXPECT_EQ(maintainer_.metrics().ghost_create_races->Value(), 1u);
+  EXPECT_EQ(maintainer_.metrics().ghosts_created->Value(), 2u);
+  std::string value;
+  ASSERT_TRUE(harness_.GetIndex(kView)->Get(key, &value));
+  Row row;
+  ASSERT_TRUE(DecodeRow(value, &row).ok());
+  EXPECT_EQ(row[1].AsInt64(), 1);
+  EXPECT_EQ(row[2].AsInt64(), 5);
+}
+
 TEST_F(MaintenanceTest, AbortRestoresGhost) {
   Transaction* txn = harness_.txns_.Begin();
   ASSERT_TRUE(maintainer_.ApplyBaseChange(txn, Insert(1, 7, 5)).ok());

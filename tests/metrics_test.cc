@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -127,6 +128,62 @@ TEST(Histogram, EmptySnapshotIsZero) {
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.Mean(), 0.0);
   EXPECT_EQ(s.P50(), 0.0);
+}
+
+TEST(Histogram, SnapOfNeverRecordedHistogramIsAllZero) {
+  Histogram h;
+  Histogram::Snapshot s = h.Snap();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  EXPECT_EQ(s.min, 0u);
+  EXPECT_EQ(s.max, 0u);
+  ASSERT_EQ(s.buckets.size(), static_cast<size_t>(Histogram::kBuckets));
+  for (uint64_t b : s.buckets) EXPECT_EQ(b, 0u);
+  EXPECT_EQ(s.P99(), 0.0);
+  // Snapping allocates nothing: a later first Record still lands exactly.
+  h.Record(42);
+  s = h.Snap();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.min, 42u);
+  EXPECT_EQ(s.max, 42u);
+}
+
+// Shards are allocated by the first Record that lands on them. Two threads
+// per shard race that first Record on a fresh histogram while the main
+// thread snaps concurrently; nothing may be lost or double-allocated (run
+// under TSan to check the publication too).
+TEST(Histogram, ConcurrentFirstRecordRace) {
+  constexpr int kThreads = 16;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; round++) {
+    Histogram h;
+    std::atomic<int> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; t++) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (!go.load()) std::this_thread::yield();
+        h.Record(static_cast<uint64_t>(t + 1));
+        h.Record(static_cast<uint64_t>(t + 1));
+      });
+    }
+    while (ready.load() < kThreads) std::this_thread::yield();
+    go.store(true);
+    uint64_t last_count = 0;
+    while (last_count < 2 * kThreads) {
+      const uint64_t count = h.Snap().count;
+      EXPECT_GE(count, last_count);
+      last_count = count;
+      if (count < 2 * kThreads) std::this_thread::yield();
+    }
+    for (auto& t : threads) t.join();
+    Histogram::Snapshot s = h.Snap();
+    ASSERT_EQ(s.count, 2u * kThreads);
+    EXPECT_EQ(s.sum, 2u * kThreads * (kThreads + 1) / 2);
+    EXPECT_EQ(s.min, 1u);
+    EXPECT_EQ(s.max, static_cast<uint64_t>(kThreads));
+  }
 }
 
 // Parse the exposition text back into name -> value and check every sample

@@ -261,6 +261,43 @@ TEST_F(MvccGcTest, AbortedTransactionsRetireThroughTheEpochPile) {
   EXPECT_EQ(versions_.reclaimer()->GetStats().pending_batches, 0u);
 }
 
+// The flip is reserve -> stamp store -> commit hooks -> publish. A snapshot
+// drawn after the stamp store but before the publish (here: from inside the
+// commit hook) lies below the new commit timestamp and must keep reading the
+// pre-image, during the flip and after it.
+TEST_F(MvccGcTest, SnapshotDrawnBetweenStampAndPublishReadsThePreImage) {
+  const uint32_t kObj = 1;
+  Transaction* setup = txns_.Begin();
+  ASSERT_TRUE(Insert(setup, kObj, "a", "v1").ok());
+  ASSERT_TRUE(txns_.Commit(setup).ok());
+
+  std::vector<uint64_t> mid_flip;
+  versions_.SetCommitHook(
+      [&](uint32_t object_id, const std::string& key, uint64_t visible_ts) {
+        const uint64_t snapshot = txns_.clock()->BeginTs();
+        EXPECT_LT(snapshot, visible_ts);
+        mid_flip.push_back(snapshot);
+        VersionStore::SnapshotView view =
+            versions_.GetAsOf(object_id, key, snapshot);
+        ASSERT_TRUE(view.use_chain_value);
+        EXPECT_EQ(view.chain_value, std::optional<std::string>("v1"));
+      });
+  Transaction* writer = txns_.Begin();
+  ASSERT_TRUE(Update(writer, kObj, "a", "v2").ok());
+  ASSERT_TRUE(txns_.Commit(writer).ok());
+  versions_.SetCommitHook(nullptr);
+  ASSERT_EQ(mid_flip.size(), 1u);
+
+  VersionStore::SnapshotView after = versions_.GetAsOf(kObj, "a", mid_flip[0]);
+  ASSERT_TRUE(after.use_chain_value);
+  EXPECT_EQ(after.chain_value, std::optional<std::string>("v1"));
+
+  Transaction* reader = txns_.Begin(ReadMode::kSnapshot);
+  EXPECT_FALSE(
+      versions_.GetAsOf(kObj, "a", reader->begin_ts()).use_chain_value);
+  ASSERT_TRUE(txns_.Commit(reader).ok());
+}
+
 // --- Database-level: the read-optimized snapshot scan path. ---
 
 Status CommitSale(Database* db, int64_t id, const std::string& region,

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "catalog/schema.h"
+#include "common/invariant.h"
+#include "storage/btree.h"
+
 namespace ivdb {
 namespace {
 
@@ -202,6 +206,125 @@ TEST(VersionStore, DuplicatePendingWriteIgnored) {
   auto view = vs.GetAsOf(kObj, "k", 10);
   ASSERT_TRUE(view.use_chain_value);
   EXPECT_EQ(*view.chain_value, "first");  // pre-transaction value wins
+}
+
+bool SameView(const VersionStore::SnapshotView& a,
+              const VersionStore::SnapshotView& b) {
+  return a.use_chain_value == b.use_chain_value &&
+         a.chain_value == b.chain_value && a.subtract == b.subtract;
+}
+
+// A history mixing value writes and escrow deltas on one key, committed at
+// 10, 20, ..., with one transaction still pending at the end.
+void BuildMixedHistory(VersionStore* vs) {
+  vs->NotePendingWrite(kObj, "k", std::nullopt, 1);  // ghost creation
+  vs->Commit(1, 10);
+  vs->NotePendingIncrement(kObj, "k", {{1, Value::Int64(1)}}, 2);
+  vs->NotePendingIncrement(kObj, "k", {{1, Value::Int64(2)}}, 3);
+  vs->Commit(3, 20);
+  vs->Commit(2, 30);
+  vs->NotePendingWrite(kObj, "k", std::string("row@30"), 4);
+  vs->Commit(4, 40);
+  vs->NotePendingIncrement(kObj, "k", {{1, Value::Int64(4)}}, 5);
+  vs->Commit(5, 50);
+  vs->NotePendingIncrement(kObj, "k", {{1, Value::Int64(8)}}, 6);  // pending
+}
+
+// Copying stamps in (GC with a horizon that reclaims nothing, or the next
+// writer under the stripe) must not change what any snapshot reads.
+TEST(VersionStore, CopyingStampsInPreservesEverySnapshotView) {
+  VersionStore vs;
+  BuildMixedHistory(&vs);
+  std::vector<VersionStore::SnapshotView> before;
+  for (uint64_t ts = 0; ts <= 60; ts++) {
+    before.push_back(vs.GetAsOf(kObj, "k", ts));
+  }
+  EXPECT_EQ(vs.GarbageCollect(/*oldest_active_ts=*/0), 0u);
+  for (uint64_t ts = 0; ts <= 60; ts++) {
+    EXPECT_TRUE(SameView(vs.GetAsOf(kObj, "k", ts), before[ts])) << ts;
+  }
+
+  // Same through the writer path: a fresh store, where the next writer's
+  // note copies the stamps in instead of GC.
+  VersionStore vs2;
+  BuildMixedHistory(&vs2);
+  vs2.NotePendingIncrement(kObj, "k", {{1, Value::Int64(16)}}, 7);
+  for (uint64_t ts = 0; ts <= 60; ts++) {
+    VersionStore::SnapshotView view = vs2.GetAsOf(kObj, "k", ts);
+    // Txn 7's pending delta is the only difference: one more subtraction
+    // off the physical value, none off an older base image.
+    if (!before[ts].use_chain_value) {
+      ASSERT_FALSE(view.subtract.empty()) << ts;
+      EXPECT_EQ(view.subtract.back()[0].delta.AsInt64(), 16) << ts;
+      view.subtract.pop_back();
+    }
+    EXPECT_TRUE(SameView(view, before[ts])) << ts;
+  }
+}
+
+TEST(VersionStore, AbortedEntriesNeverResolveAsCommitted) {
+  VersionStore vs;
+  vs.NotePendingWrite(kObj, "k", std::string("v0"), 1);
+  vs.NotePendingIncrement(kObj, "g", {{1, Value::Int64(5)}}, 1);
+  vs.NotePendingIncrement(kObj, "g", {{1, Value::Int64(3)}}, 2);
+  vs.Commit(2, 20);
+  // While pending, no snapshot, however late, sees txn 1's effects.
+  for (uint64_t ts : {uint64_t{1}, uint64_t{25}, UINT64_MAX}) {
+    VersionStore::SnapshotView k = vs.GetAsOf(kObj, "k", ts);
+    ASSERT_TRUE(k.use_chain_value);
+    EXPECT_EQ(*k.chain_value, "v0");
+    VersionStore::SnapshotView g = vs.GetAsOf(kObj, "g", ts);
+    ASSERT_FALSE(g.subtract.empty());
+    EXPECT_EQ(g.subtract[0][0].delta.AsInt64(), 5);
+  }
+  EXPECT_EQ(vs.PendingDeltas(kObj, "g").size(), 1u);
+
+  vs.Abort(1);
+  // A stray commit of the aborted transaction must not resurrect anything.
+  vs.Commit(1, 30);
+  for (uint64_t ts : {uint64_t{1}, uint64_t{25}, uint64_t{35}}) {
+    EXPECT_FALSE(vs.GetAsOf(kObj, "k", ts).use_chain_value) << ts;
+    VersionStore::SnapshotView g = vs.GetAsOf(kObj, "g", ts);
+    for (const auto& deltas : g.subtract) {
+      EXPECT_EQ(deltas[0].delta.AsInt64(), 3) << ts;  // only txn 2's
+    }
+  }
+  EXPECT_TRUE(vs.PendingDeltas(kObj, "g").empty());
+  EXPECT_EQ(vs.TotalEntries(), 1u);  // txn 2's committed delta
+}
+
+TEST(VersionStore, EscrowAdmissionCountsCommittedStampsAsCommitted) {
+  VersionStore vs;
+  BTree tree;
+  ASSERT_TRUE(tree.Insert("g", EncodeRow({Value::Int64(7), Value::Int64(0)})));
+  const std::vector<VersionStore::ColumnBound> bounds = {{1, 0}};
+  ASSERT_TRUE(vs.ApplyIncrement(kObj, "g", {{1, Value::Int64(10)}}, 1,
+                                /*create_pending=*/true, &tree, &bounds)
+                  .ok());
+  // Flipped, but no writer or GC has touched the chain since: the delta is
+  // still resolved through its stamp.
+  vs.Commit(1, 5);
+  EXPECT_TRUE(vs.PendingDeltas(kObj, "g").empty());
+  // Taking the committed 10 back out is safe whatever else happens; had
+  // the delta still counted as pending, the worst case (txn 1 aborts)
+  // would read -10 and admission would answer Busy.
+  Status s = vs.ApplyIncrement(kObj, "g", {{1, Value::Int64(-10)}}, 2,
+                               /*create_pending=*/true, &tree, &bounds);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(VersionStore, ValueVersionsMustBeAddedInCommitOrder) {
+  if (!ChecksEnabled()) GTEST_SKIP() << "chain invariants compiled out";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Two concurrent pending writers on one key cannot happen under X locks;
+  // the chain check rejects the second rather than mis-order the history.
+  EXPECT_DEATH(
+      {
+        VersionStore vs;
+        vs.NotePendingWrite(kObj, "k", std::string("a"), 1);
+        vs.NotePendingWrite(kObj, "k", std::string("b"), 2);
+      },
+      "ordered after a pending one");
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <filesystem>
 #include <thread>
 
+#include "common/coding.h"
+#include "common/crc32.h"
 #include "common/file_util.h"
 #include "wal/log_manager.h"
 #include "wal/log_record.h"
@@ -544,6 +546,159 @@ TEST_F(WalTest, AdvancePastLsn) {
   ASSERT_TRUE(log.Append(&rec).ok());
   EXPECT_EQ(rec.lsn, 101u);
   EXPECT_GE(log.flushed_lsn(), 100u);
+}
+
+// One record of every LogRecordType, each with the fields that kind
+// carries (multi-delta increments, CLR undo links, checkpoint and view-build
+// markers).
+std::vector<LogRecord> OneOfEveryKind() {
+  std::vector<LogRecord> out;
+  auto add = [&](LogRecordType type) -> LogRecord& {
+    LogRecord rec;
+    rec.type = type;
+    rec.txn_id = 77;
+    rec.prev_lsn = out.empty() ? kInvalidLsn : 3;
+    out.push_back(std::move(rec));
+    return out.back();
+  };
+  add(LogRecordType::kBegin);
+  add(LogRecordType::kCommit).timestamp = (uint64_t{1} << 40) + 17;
+  add(LogRecordType::kAbort).system_txn = true;
+  add(LogRecordType::kEnd);
+  LogRecord& ins = add(LogRecordType::kInsert);
+  ins.object_id = 5;
+  ins.key = "ins-key";
+  ins.after = std::string(200, 'a');  // multi-byte length prefix
+  LogRecord& del = add(LogRecordType::kDelete);
+  del.object_id = 5;
+  del.key = "del-key";
+  del.before = "old";
+  LogRecord& upd = add(LogRecordType::kUpdate);
+  upd.object_id = 6;
+  upd.key = "upd-key";
+  upd.before = "before";
+  upd.after = "after";
+  LogRecord& inc = add(LogRecordType::kIncrement);
+  inc.object_id = 10;
+  inc.key = "grp";
+  inc.deltas = {{1, Value::Int64(5)},
+                {2, Value::Int64(-1)},
+                {3, Value::Double(2.5)}};
+  LogRecord& clr = add(LogRecordType::kClr);
+  clr.object_id = 10;
+  clr.key = "grp";
+  clr.clr_op = LogRecordType::kIncrement;
+  clr.deltas = {{1, Value::Int64(-5)}, {2, Value::Int64(1)}};
+  clr.undo_next_lsn = 2;
+  add(LogRecordType::kBeginCheckpoint).txn_id = 0;
+  LogRecord& end_ckpt = add(LogRecordType::kEndCheckpoint);
+  end_ckpt.txn_id = 0;
+  end_ckpt.timestamp = 12345;
+  LogRecord& vb_start = add(LogRecordType::kViewBuildStart);
+  vb_start.txn_id = 0;
+  vb_start.system_txn = true;
+  vb_start.object_id = 11;
+  vb_start.key = "view_name";
+  vb_start.after = "encoded-definition";
+  vb_start.timestamp = 999;
+  vb_start.undo_next_lsn = 1;
+  LogRecord& vb_commit = add(LogRecordType::kViewBuildCommit);
+  vb_commit.txn_id = 0;
+  vb_commit.system_txn = true;
+  vb_commit.object_id = 11;
+  return out;
+}
+
+// The framing the log has always written: [len][crc][EncodeTo body], with
+// the CRC computed over the fully assembled body.
+std::string ReferenceFrame(const LogRecord& rec) {
+  std::string body;
+  rec.EncodeTo(&body);
+  std::string frame;
+  PutFixed32(&frame, static_cast<uint32_t>(body.size()));
+  PutFixed32(&frame, Crc32(body.data(), body.size()));
+  frame.append(body);
+  return frame;
+}
+
+size_t VarintLength(uint64_t v) {
+  std::string buf;
+  PutVarint64(&buf, v);
+  return buf.size();
+}
+
+// Appends one record of every kind (LSNs starting above `lsn_floor`),
+// flushes, and checks that the segment holds exactly the reference frames
+// and that each decodes back to the appended record.
+void ExpectFramesMatchReference(const std::string& dir, bool dedicated_writer,
+                                Lsn lsn_floor, size_t lsn_varint_bytes) {
+  LogManagerOptions options;
+  options.dir = dir;
+  options.dedicated_writer = dedicated_writer;
+  LogManager log(options);
+  ASSERT_TRUE(log.Open().ok());
+  if (lsn_floor > 0) log.AdvancePastLsn(lsn_floor);
+  std::vector<LogRecord> appended = OneOfEveryKind();
+  std::string expected;
+  for (LogRecord& rec : appended) {
+    ASSERT_TRUE(log.Append(&rec).ok());
+    ASSERT_EQ(VarintLength(rec.lsn), lsn_varint_bytes) << rec.lsn;
+    expected += ReferenceFrame(rec);
+  }
+  ASSERT_TRUE(log.Flush(log.last_lsn()).ok());
+
+  std::string contents;
+  ASSERT_TRUE(
+      ReadFileToString(dir + "/" + LogManager::SegmentFileName(1), &contents)
+          .ok());
+  EXPECT_EQ(contents, expected);
+
+  std::vector<LogRecord> decoded;
+  ASSERT_TRUE(LogManager::ReadLog(dir, &decoded).ok());
+  ASSERT_EQ(decoded.size(), appended.size());
+  for (size_t i = 0; i < appended.size(); i++) {
+    std::string want, got;
+    appended[i].EncodeTo(&want);
+    decoded[i].EncodeTo(&got);
+    EXPECT_EQ(got, want) << LogRecordTypeName(appended[i].type);
+    EXPECT_EQ(decoded[i].lsn, appended[i].lsn);
+    EXPECT_EQ(decoded[i].type, appended[i].type);
+  }
+}
+
+TEST(LogRecordCodec, EncodeToIsHeaderPlusTail) {
+  for (const LogRecord& rec : OneOfEveryKind()) {
+    std::string whole, tail;
+    rec.EncodeTo(&whole);
+    rec.EncodeTailTo(&tail);
+    std::string header;
+    header.push_back(static_cast<char>(rec.type));
+    header.push_back(rec.system_txn ? '\1' : '\0');
+    PutVarint64(&header, rec.lsn);
+    EXPECT_EQ(whole, header + tail) << LogRecordTypeName(rec.type);
+  }
+}
+
+TEST_F(WalTest, AppendFramesAreByteIdenticalWithOneByteLsns) {
+  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/false,
+                             /*lsn_floor=*/0, /*lsn_varint_bytes=*/1);
+}
+
+TEST_F(WalTest, AppendFramesAreByteIdenticalWithNineByteLsns) {
+  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/false,
+                             /*lsn_floor=*/uint64_t{1} << 56,
+                             /*lsn_varint_bytes=*/9);
+}
+
+TEST_F(WalTest, StagedAppendFramesAreByteIdentical) {
+  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/true,
+                             /*lsn_floor=*/0, /*lsn_varint_bytes=*/1);
+}
+
+TEST_F(WalTest, StagedAppendFramesAreByteIdenticalWithNineByteLsns) {
+  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/true,
+                             /*lsn_floor=*/uint64_t{1} << 56,
+                             /*lsn_varint_bytes=*/9);
 }
 
 }  // namespace
