@@ -1,5 +1,43 @@
 #include "common/lock_order.h"
 
+namespace ivdb {
+
+const char* LockRankName(LockRank rank) {
+  // No default: -Wswitch flags an enumerator added without a name here.
+  switch (rank) {
+    case LockRank::kCkptThread: return "kCkptThread";
+    case LockRank::kCheckpointSerial: return "kCheckpointSerial";
+    case LockRank::kTxnWatchdog: return "kTxnWatchdog";
+    case LockRank::kTxnOwner: return "kTxnOwner";
+    case LockRank::kEngineIndexes: return "kEngineIndexes";
+    case LockRank::kEngineViews: return "kEngineViews";
+    case LockRank::kTxnActive: return "kTxnActive";
+    case LockRank::kEpochSlot: return "kEpochSlot";
+    case LockRank::kTxnVisibility: return "kTxnVisibility";
+    case LockRank::kTxnEpoch: return "kTxnEpoch";
+    case LockRank::kLockGraph: return "kLockGraph";
+    case LockRank::kLockTxn: return "kLockTxn";
+    case LockRank::kLockManager: return "kLockManager";
+    case LockRank::kScanCache: return "kScanCache";
+    case LockRank::kVersionPending: return "kVersionPending";
+    case LockRank::kVersionRetire: return "kVersionRetire";
+    case LockRank::kVersionStore: return "kVersionStore";
+    case LockRank::kBtreeLatch: return "kBtreeLatch";
+    case LockRank::kWalFlush: return "kWalFlush";
+    case LockRank::kWalSegments: return "kWalSegments";
+    case LockRank::kWalShard: return "kWalShard";
+    case LockRank::kWalBuffer: return "kWalBuffer";
+    case LockRank::kCatalog: return "kCatalog";
+    case LockRank::kMetricsRegistry: return "kMetricsRegistry";
+    case LockRank::kFlightRing: return "kFlightRing";
+    case LockRank::kTraceRing: return "kTraceRing";
+    case LockRank::kFaultEnv: return "kFaultEnv";
+  }
+  return nullptr;
+}
+
+}  // namespace ivdb
+
 #if IVDB_CHECKS_ENABLED
 
 #include <atomic>
@@ -10,8 +48,8 @@ namespace ivdb {
 namespace {
 
 constexpr int kMaxHeld = 16;
-// Ranks index the edge/name tables directly; the enum tops out at 90.
-constexpr int kMaxRank = 100;
+// Ranks index the edge/name tables directly.
+constexpr int kMaxRank = kMaxLockRank;
 
 struct HeldLock {
   LockRank rank;

@@ -23,13 +23,20 @@
 //                                      with another slot)
 //   TxnManager::visibility_mu_  (20)   commit-ts draw + in-LSN-order flip
 //   EpochClock::advance_mu_     (21)   commit-epoch reserve/publish
-//   LockManager::graph_mu_      (28)   waits-for graph + per-txn bookkeeping
+//   LockManager::graph_mu_      (28)   waits-for graph only; taken only by
+//                                      a request that must wait
+//   LockManager::txn_shard_mu_  (29)   one shard of per-transaction lock
+//                                      records (never nested with another
+//                                      shard; escalation visits stripes
+//                                      while holding it)
 //   LockManager::lock_stripe_mu_ (30)  one lock-table stripe (never nested
 //                                      with another stripe)
 //   ScanCache::entry_mu_        (33)   one object's last-committed-row cache
 //                                      (never nested with another entry)
-//   VersionStore::pending_mu_   (37)   txn -> commit stamp + dirty-chain
-//                                      keys (never taken under a stripe)
+//   VersionStore::pending_mu_   (37)   one shard of txn -> commit stamp +
+//                                      dirty-chain keys (never nested with
+//                                      another shard, never taken under a
+//                                      version stripe)
 //   EpochReclaimer::retire_mu_  (38)   deferred-free retire pile
 //   VersionStore::version_stripe_mu_ (40) one version-chain stripe (never
 //                                      nested with another stripe)
@@ -55,9 +62,10 @@
 // swapping the buffer (60); snapshot reads hold a version stripe (40) while
 // probing the physical tree (45).
 //
-// Striping note: the lock-table stripes all share rank 30, the version-chain
-// stripes rank 40, the WAL staging shards rank 58, the epoch reader slots
-// rank 12, and the scan-cache entries rank 33. The strictly-greater rule
+// Striping note: the lock-table stripes all share rank 30, the per-txn lock
+// record shards rank 29, the version-store pending shards rank 37, the
+// version-chain stripes rank 40, the WAL staging shards rank 58, the epoch
+// reader slots rank 12, and the scan-cache entries rank 33. The strictly-greater rule
 // therefore *forbids nesting two stripes of the same family* — exactly the
 // discipline the striped designs rely on (multi-stripe operations such as
 // deadlock DFS, lock escalation, commit stamping, the oldest-pin sweep, and
@@ -96,6 +104,7 @@ enum class LockRank : int {
   kTxnVisibility = 20,
   kTxnEpoch = 21,
   kLockGraph = 28,
+  kLockTxn = 29,
   kLockManager = 30,
   kScanCache = 33,
   kVersionPending = 37,
@@ -112,6 +121,14 @@ enum class LockRank : int {
   kTraceRing = 85,
   kFaultEnv = 90,
 };
+
+// Largest value a LockRank may take; tables indexed by rank have
+// kMaxLockRank + 1 slots.
+constexpr int kMaxLockRank = 100;
+
+// The enumerator's name ("kLockGraph"), or nullptr when `rank` is not one
+// of the values above. Labels the per-rank contention counters.
+const char* LockRankName(LockRank rank);
 
 #if IVDB_CHECKS_ENABLED
 

@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <shared_mutex>
 
@@ -27,10 +28,23 @@
 //
 //   RankedMutex cache_mu_{LockRank::kCatalog, "cache_mu_"};
 //   std::map<Key, Entry> entries_ IVDB_GUARDED_BY(cache_mu_);
+//
+// Contention accounting: every blocking acquisition tries the lock first and
+// only on failure bumps a process-wide per-rank counter before it blocks
+// (`ivdb_mutex_contended_total{rank=...}`, docs/OBSERVABILITY.md). The
+// uncontended path costs one try-lock — no clock read, no extra atomic.
 
 namespace ivdb {
 
 class CondVar;
+
+// Records one acquisition of a `rank` mutex that found it held (slow path
+// only; out of line so the fast path stays a single try-lock).
+void NoteMutexContended(LockRank rank);
+
+// Blocking acquisitions of `rank` mutexes that found the mutex held, summed
+// over every instance in the process since it started.
+uint64_t MutexContendedCount(LockRank rank);
 
 // A std::mutex with a LockRank, wired into the runtime order tracker.
 class IVDB_CAPABILITY("mutex") RankedMutex {
@@ -44,7 +58,10 @@ class IVDB_CAPABILITY("mutex") RankedMutex {
     // Record before blocking, matching the old IVDB_LOCK_ORDER placement:
     // a would-be deadlock aborts with the report instead of hanging.
     LockOrderAcquire(rank_, name_);
-    mu_.lock();
+    if (!mu_.try_lock()) {
+      NoteMutexContended(rank_);
+      mu_.lock();
+    }
   }
 
   void Unlock() IVDB_RELEASE() {
@@ -84,7 +101,10 @@ class IVDB_CAPABILITY("shared_mutex") RankedSharedMutex {
 
   void Lock() IVDB_ACQUIRE() {
     LockOrderAcquire(rank_, name_);
-    mu_.lock();
+    if (!mu_.try_lock()) {
+      NoteMutexContended(rank_);
+      mu_.lock();
+    }
   }
 
   void Unlock() IVDB_RELEASE() {
@@ -94,7 +114,10 @@ class IVDB_CAPABILITY("shared_mutex") RankedSharedMutex {
 
   void LockShared() IVDB_ACQUIRE_SHARED() {
     LockOrderAcquire(rank_, name_);
-    mu_.lock_shared();
+    if (!mu_.try_lock_shared()) {
+      NoteMutexContended(rank_);
+      mu_.lock_shared();
+    }
   }
 
   void UnlockShared() IVDB_RELEASE_SHARED() {
@@ -134,7 +157,10 @@ class IVDB_SCOPED_CAPABILITY UniqueMutexLock {
   explicit UniqueMutexLock(RankedMutex* mu) IVDB_ACQUIRE(mu)
       : mu_(mu), lock_(mu->mu_, std::defer_lock) {
     LockOrderAcquire(mu_->rank_, mu_->name_);
-    lock_.lock();
+    if (!lock_.try_lock()) {
+      NoteMutexContended(mu_->rank_);
+      lock_.lock();
+    }
   }
 
   ~UniqueMutexLock() IVDB_RELEASE() {
@@ -154,7 +180,10 @@ class IVDB_SCOPED_CAPABILITY UniqueMutexLock {
 
   void Lock() IVDB_ACQUIRE() {
     LockOrderAcquire(mu_->rank_, mu_->name_);
-    lock_.lock();
+    if (!lock_.try_lock()) {
+      NoteMutexContended(mu_->rank_);
+      lock_.lock();
+    }
   }
 
   bool OwnsLock() const { return lock_.owns_lock(); }

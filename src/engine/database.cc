@@ -1977,7 +1977,7 @@ std::string Database::DumpMetrics() const {
           last == 0 || last > now ? 0 : static_cast<int64_t>(now - last));
     }
   }
-  return registry_.RenderPrometheus();
+  return registry_.RenderPrometheus() + obs::RenderMutexContention();
 }
 
 void Database::WriteBlackboxDump(const char* reason) {

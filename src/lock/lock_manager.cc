@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 
 #include "common/lock_order.h"
 #include "common/logging.h"
@@ -128,24 +129,33 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
                                  LockMode mode, bool wait) {
   metrics_.acquisitions->Add();
 
-  // Coarse-lock coverage: a key request already implied by a held
-  // object-level lock (e.g. after escalation) is granted without creating
-  // a key-level request at all. The object lives in another stripe, so
-  // this is its own earlier critical section; the mode read is stable
-  // because only this transaction (serialized by its engine owner latch)
-  // ever changes its own object-level holds.
-  if (!res.IsObjectLevel()) {
-    const ResourceId object_res = ResourceId::Object(res.object_id);
-    Stripe& object_stripe = StripeFor(object_res);
-    LockMode object_mode;
-    {
-      MutexLock object_guard(&object_stripe.lock_stripe_mu_);
-      object_mode = HeldModeLocked(object_stripe, txn, object_res);
-    }
-    if (object_mode != LockMode::kNL && LockModeCovers(object_mode, mode)) {
-      metrics_.covered_by_object_lock->Add();
-      metrics_.immediate_grants->Add();
-      return Status::OK();
+  // Answered from the transaction's own record, without the lock table:
+  // a request its granted mode already covers is a no-op, and a key
+  // request implied by a held object-level lock (e.g. after escalation) is
+  // granted without creating a key-level request at all. The record is
+  // stable here: only this transaction's requests (serialized by its
+  // engine owner latch) change it.
+  {
+    TxnShard& shard = ShardFor(txn);
+    MutexLock shard_guard(&shard.txn_shard_mu_);
+    auto record_it = shard.txns.find(txn);
+    if (record_it != shard.txns.end()) {
+      const TxnLocks& record = record_it->second;
+      if (!res.IsObjectLevel()) {
+        const LockMode object_mode =
+            record.ModeOf(ResourceId::Object(res.object_id));
+        if (object_mode != LockMode::kNL &&
+            LockModeCovers(object_mode, mode)) {
+          metrics_.covered_by_object_lock->Add();
+          metrics_.immediate_grants->Add();
+          return Status::OK();
+        }
+      }
+      const LockMode held = record.ModeOf(res);
+      if (held != LockMode::kNL && LockModeCovers(held, mode)) {
+        metrics_.immediate_grants->Add();
+        return Status::OK();  // already strong enough
+      }
     }
   }
 
@@ -161,14 +171,13 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
                          [txn](const LockRequest& r) { return r.txn == txn; });
 
   bool is_conversion = false;
-  bool fresh_request = false;
   LockMode restore_mode = LockMode::kNL;
   if (it != queue->requests.end()) {
+    // The record said the held mode does not cover `mode`, so this is a
+    // conversion (the record and the queue agree on the held mode).
     IVDB_CHECK_MSG(it->granted, "transaction already waiting on this lock");
-    if (LockModeCovers(it->mode, mode)) {
-      metrics_.immediate_grants->Add();
-      return Status::OK();  // already strong enough
-    }
+    IVDB_CHECK_MSG(!LockModeCovers(it->mode, mode),
+                   "lock record out of step with the lock table");
     // Lock conversion: keep position (within the granted region), switch to
     // the supremum mode, and wait until compatible with all other holders.
     is_conversion = true;
@@ -180,15 +189,15 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
   } else {
     queue->requests.push_back(LockRequest{txn, mode, LockMode::kNL, false});
     it = std::prev(queue->requests.end());
-    fresh_request = true;
   }
+  const LockMode target = it->mode;
 
   if (CanGrant(stripe, *queue, *it)) {
     it->granted = true;
     it->converting_from = LockMode::kNL;
     metrics_.immediate_grants->Add();
     guard.Unlock();
-    FinishGrant(txn, res, fresh_request, is_conversion);
+    FinishGrant(txn, res, target, is_conversion);
     return Status::OK();
   }
 
@@ -214,16 +223,13 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
   // last transaction to close a cycle is guaranteed to observe the whole
   // cycle and elect itself the victim.
   bool deadlock = false;
-  if (options_.detect_deadlocks) {
+  {
     MutexLock graph_guard(&graph_mu_);
     waiting_on_[txn] = res;
-    if (WouldDeadlockLocked(txn)) {
+    if (options_.detect_deadlocks && WouldDeadlockLocked(txn)) {
       waiting_on_.erase(txn);
       deadlock = true;
     }
-  } else {
-    MutexLock graph_guard(&graph_mu_);
-    waiting_on_[txn] = res;
   }
   if (deadlock) {
     guard.Lock();
@@ -269,7 +275,7 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
   metrics_.wait_latency->Record(waited);
   if (granted) {
     obs::EmitTrace(obs::TraceEventType::kLockGrant, res.object_id, waited);
-    FinishGrant(txn, res, fresh_request, is_conversion);
+    FinishGrant(txn, res, target, is_conversion);
     return Status::OK();
   }
   metrics_.timeouts->Add();
@@ -278,16 +284,18 @@ Status LockManager::LockInternal(TxnId txn, const ResourceId& res,
 }
 
 void LockManager::FinishGrant(TxnId txn, const ResourceId& res,
-                              bool fresh_request, bool is_conversion) {
-  // Runs after the stripe is released: a transaction's own bookkeeping is
-  // stable under its engine owner latch, so nothing can observe the gap.
-  MutexLock graph_guard(&graph_mu_);
-  if (fresh_request) txn_locks_[txn].insert(res);
+                              LockMode granted, bool is_conversion) {
+  // Runs after the stripe is released: a record only changes through its
+  // own transaction's requests, so nothing can observe the gap.
+  TxnShard& shard = ShardFor(txn);
+  MutexLock shard_guard(&shard.txn_shard_mu_);
+  TxnLocks& record = shard.txns[txn];
+  record.held.insert_or_assign(res, granted);
   if (is_conversion || res.IsObjectLevel()) return;
-  size_t count = ++key_counts_[{txn, res.object_id}];
+  const size_t count = ++record.key_counts[res.object_id];
   if (options_.escalation_threshold > 0 &&
       count >= options_.escalation_threshold) {
-    TryEscalateLocked(txn, res.object_id);
+    TryEscalateLocked(shard, &record, txn, res.object_id);
   }
 }
 
@@ -370,22 +378,20 @@ void LockManager::EraseRequest(Stripe& stripe, TxnId txn,
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  // Snapshot-and-clear the bookkeeping first (graph_mu_), then walk the
-  // stripes one at a time. The set cannot change in between: only the
-  // owning transaction adds entries, and it is not running — it is here.
-  std::set<ResourceId> resources;
+  // Take the record out of its shard first, then walk the stripes one at a
+  // time. The record cannot change in between: only the owning transaction
+  // adds entries, and it is not running — it is here. It is not waiting
+  // either, so it has no waits-for edge to clear.
+  TxnLocks record;
   {
-    MutexLock graph_guard(&graph_mu_);
-    auto it = txn_locks_.find(txn);
-    if (it != txn_locks_.end()) {
-      resources.swap(it->second);
-      txn_locks_.erase(it);
-    }
-    waiting_on_.erase(txn);
-    key_counts_.erase(key_counts_.lower_bound({txn, 0}),
-                      key_counts_.upper_bound({txn, UINT32_MAX}));
+    TxnShard& shard = ShardFor(txn);
+    MutexLock shard_guard(&shard.txn_shard_mu_);
+    auto it = shard.txns.find(txn);
+    if (it == shard.txns.end()) return;
+    record = std::move(it->second);
+    shard.txns.erase(it);
   }
-  for (const ResourceId& res : resources) {
+  for (const auto& [res, mode] : record.held) {
     Stripe& stripe = StripeFor(res);
     MutexLock stripe_guard(&stripe.lock_stripe_mu_);
     auto queue_it = stripe.queues.find(res);
@@ -403,73 +409,55 @@ void LockManager::Unlock(TxnId txn, const ResourceId& res) {
       EraseRequest(stripe, txn, res, queue_it->second.get());
     }
   }
-  MutexLock graph_guard(&graph_mu_);
-  auto it = txn_locks_.find(txn);
-  if (it != txn_locks_.end()) {
-    it->second.erase(res);
-    if (it->second.empty()) txn_locks_.erase(it);
-  }
+  TxnShard& shard = ShardFor(txn);
+  MutexLock shard_guard(&shard.txn_shard_mu_);
+  auto it = shard.txns.find(txn);
+  if (it == shard.txns.end()) return;
+  TxnLocks& record = it->second;
+  if (record.held.erase(res) == 0) return;
   if (!res.IsObjectLevel()) {
-    auto count_it = key_counts_.find({txn, res.object_id});
-    if (count_it != key_counts_.end() && count_it->second > 0) {
+    auto count_it = record.key_counts.find(res.object_id);
+    if (count_it != record.key_counts.end() && count_it->second > 0) {
       count_it->second--;
     }
   }
-}
-
-LockMode LockManager::HeldModeLocked(const Stripe& stripe, TxnId txn,
-                                     const ResourceId& res) const {
-  auto queue_it = stripe.queues.find(res);
-  if (queue_it == stripe.queues.end()) return LockMode::kNL;
-  for (const LockRequest& r : queue_it->second->requests) {
-    if (r.txn == txn) {
-      if (r.granted) return r.mode;
-      if (r.converting_from != LockMode::kNL) return r.converting_from;
-      return LockMode::kNL;
-    }
-  }
-  return LockMode::kNL;
+  if (record.held.empty()) shard.txns.erase(it);
 }
 
 LockMode LockManager::HeldMode(TxnId txn, const ResourceId& res) const {
-  Stripe& stripe = StripeFor(res);
-  MutexLock guard(&stripe.lock_stripe_mu_);
-  return HeldModeLocked(stripe, txn, res);
+  TxnShard& shard = ShardFor(txn);
+  MutexLock shard_guard(&shard.txn_shard_mu_);
+  auto it = shard.txns.find(txn);
+  return it == shard.txns.end() ? LockMode::kNL : it->second.ModeOf(res);
 }
 
-void LockManager::TryEscalateLocked(TxnId txn, uint32_t object_id) {
-  auto locks_it = txn_locks_.find(txn);
-  if (locks_it == txn_locks_.end()) return;
-
+void LockManager::TryEscalateLocked(TxnShard& shard, TxnLocks* record,
+                                    TxnId txn, uint32_t object_id) {
+  (void)shard;
   // Collect this txn's granted key locks on the object and derive the
   // escalation target: S when everything held is shared, X otherwise
-  // (an object-level E would not license arbitrary key access). Each key's
-  // stripe is taken one at a time under graph_mu_; the modes read are
-  // stable because only this transaction changes its own holds.
+  // (an object-level E would not license arbitrary key access). The modes
+  // come from the record; no other request of this transaction is in
+  // flight, so each is the mode its queue holds.
   std::vector<ResourceId> key_locks;
   bool all_shared = true;
-  for (auto it = locks_it->second.lower_bound(ResourceId::Object(object_id));
-       it != locks_it->second.end() && it->object_id == object_id; ++it) {
-    if (it->IsObjectLevel()) continue;
-    LockMode held;
-    {
-      Stripe& stripe = StripeFor(*it);
-      MutexLock stripe_guard(&stripe.lock_stripe_mu_);
-      held = HeldModeLocked(stripe, txn, *it);
+  for (auto it = record->held.upper_bound(ResourceId::Object(object_id));
+       it != record->held.end() && it->first.object_id == object_id; ++it) {
+    if (it->second != LockMode::kS && it->second != LockMode::kIS) {
+      all_shared = false;
     }
-    if (held == LockMode::kNL) return;  // a key wait is in flight: bail
-    if (held != LockMode::kS && held != LockMode::kIS) all_shared = false;
-    key_locks.push_back(*it);
+    key_locks.push_back(it->first);
   }
   if (key_locks.empty()) return;
-  LockMode target = all_shared ? LockMode::kS : LockMode::kX;
+  const LockMode target = all_shared ? LockMode::kS : LockMode::kX;
 
   // Upgrade (or freshly take) the object-level lock, without waiting. The
   // object queue alone arbitrates this: every transaction touching keys of
   // the object holds an intention mode on the object, so a grant against
   // this one queue is a grant against all concurrent key activity — no
   // cross-stripe atomicity is needed.
-  ResourceId object_res = ResourceId::Object(object_id);
+  const ResourceId object_res = ResourceId::Object(object_id);
+  LockMode object_mode;
   {
     Stripe& object_stripe = StripeFor(object_res);
     MutexLock object_guard(&object_stripe.lock_stripe_mu_);
@@ -481,9 +469,7 @@ void LockManager::TryEscalateLocked(TxnId txn, uint32_t object_id) {
                      [txn](const LockRequest& r) { return r.txn == txn; });
     if (self != queue->requests.end()) {
       if (!self->granted) return;  // waiting on the object already: bail
-      if (LockModeCovers(self->mode, target)) {
-        // Already strong enough (repeat escalation attempt).
-      } else {
+      if (!LockModeCovers(self->mode, target)) {
         LockMode restore = self->mode;
         self->converting_from = self->mode;
         self->mode = LockModeSupremum(self->mode, target);
@@ -498,19 +484,22 @@ void LockManager::TryEscalateLocked(TxnId txn, uint32_t object_id) {
           return;  // conflicting holders: try again at the next trigger
         }
       }
+      // else: already strong enough (repeat escalation attempt).
+      object_mode = self->mode;
     } else {
       queue->requests.push_back(
           LockRequest{txn, target, LockMode::kNL, false});
       auto inserted = std::prev(queue->requests.end());
-      if (CanGrant(object_stripe, *queue, *inserted)) {
-        inserted->granted = true;
-        txn_locks_[txn].insert(object_res);
-      } else {
+      if (!CanGrant(object_stripe, *queue, *inserted)) {
         queue->requests.erase(inserted);
+        if (queue->requests.empty()) object_stripe.queues.erase(object_res);
         return;
       }
+      inserted->granted = true;
+      object_mode = target;
     }
   }
+  record->held.insert_or_assign(object_res, object_mode);
 
   // Escalated: the key locks are now redundant — drop them so the lock
   // table shrinks (the point of the exercise).
@@ -521,9 +510,9 @@ void LockManager::TryEscalateLocked(TxnId txn, uint32_t object_id) {
     if (queue_it != stripe.queues.end()) {
       EraseRequest(stripe, txn, res, queue_it->second.get());
     }
-    locks_it->second.erase(res);
+    record->held.erase(res);
   }
-  key_counts_.erase({txn, object_id});
+  record->key_counts.erase(object_id);
   metrics_.escalations->Add();
   obs::EmitTrace(obs::TraceEventType::kLockEscalation, object_id,
                  key_locks.size());

@@ -1,14 +1,15 @@
 #ifndef IVDB_LOCK_LOCK_MANAGER_H_
 #define IVDB_LOCK_LOCK_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -80,14 +81,22 @@ struct LockManagerMetrics {
 // multi-resource operations (escalation, release-all, the deadlock DFS)
 // visit stripes strictly one at a time.
 //
-// Cross-resource bookkeeping — the waits-for graph (waiting_on_), each
-// transaction's resource set (txn_locks_) and its per-object key-lock
-// counts (key_counts_) — lives under a single graph_mu_, ranked BELOW the
-// stripes: a thread holding graph_mu_ may take stripes one at a time (the
-// DFS and escalation do), but a thread holding a stripe may never touch
-// the graph. A transaction's own entries are additionally stable under its
-// engine owner latch, which is what lets grant bookkeeping run after the
-// stripe is released.
+// Per-transaction records: each transaction's held resources (with their
+// granted modes) and its per-object key-lock counts live in a record in one
+// of kTxnShards cache-line-aligned shards, chosen by `txn % kTxnShards`,
+// each with its own txn_shard_mu_. A record is written only by its own
+// transaction's requests (serialized by the engine owner latch), so the
+// shard mutex is uncontended unless two live transactions share a shard.
+// Grant bookkeeping, release, coverage checks ("does an object lock I hold
+// already imply this key lock?") and HeldMode read and write only the
+// record, never a foreign stripe. The shard mutex ranks below the stripes:
+// escalation takes stripes one at a time while holding its record's shard,
+// and nothing takes a shard while holding a stripe.
+//
+// graph_mu_ guards only the waits-for graph (waiting_on_) and is taken only
+// by a request that must wait: a grant, a conversion that fits, a release
+// or a coverage hit never touches it. It ranks below the shards and the
+// stripes; the deadlock DFS takes stripes one at a time under it.
 //
 // Deadlock handling: when a request must wait, the waiter publishes its
 // wait edge and runs a depth-first search over the waits-for graph in one
@@ -130,6 +139,10 @@ class LockManager {
     Clock* clock = nullptr;
   };
 
+  // Shards of per-transaction records; transaction `t` lives in shard
+  // `t % kTxnShards`.
+  static constexpr size_t kTxnShards = 16;
+
   LockManager() : LockManager(Options{}) {}
   explicit LockManager(Options options);
 
@@ -153,7 +166,8 @@ class LockManager {
   // is responsible for two-phase discipline.
   void Unlock(TxnId txn, const ResourceId& res);
 
-  // Mode currently held by `txn` on `res` (kNL if none).
+  // Mode currently held by `txn` on `res` (kNL if none), read from the
+  // transaction's record without touching the lock table.
   LockMode HeldMode(TxnId txn, const ResourceId& res) const;
 
   // Number of distinct transactions holding a granted lock on `res`.
@@ -187,6 +201,30 @@ class LockManager {
 
   Stripe& StripeFor(const ResourceId& res) const;
 
+  // A transaction's granted locks: every resource it holds with the mode
+  // granted, and its granted key-lock count per object (the escalation
+  // trigger). Kept in step with the lock table by the transaction's own
+  // requests only.
+  struct TxnLocks {
+    std::map<ResourceId, LockMode> held;
+    std::map<uint32_t, size_t> key_counts;
+
+    LockMode ModeOf(const ResourceId& res) const {
+      auto it = held.find(res);
+      return it == held.end() ? LockMode::kNL : it->second;
+    }
+  };
+
+  // One shard of transaction records. Cache-line aligned so two shards
+  // never false-share; every shard mutex carries rank kLockTxn, which makes
+  // the runtime order checker reject nesting two.
+  struct alignas(64) TxnShard {
+    mutable RankedMutex txn_shard_mu_{LockRank::kLockTxn, "txn_shard_mu_"};
+    std::unordered_map<TxnId, TxnLocks> txns IVDB_GUARDED_BY(txn_shard_mu_);
+  };
+
+  TxnShard& ShardFor(TxnId txn) const { return txn_shards_[txn % kTxnShards]; }
+
   // Single-resource queue helpers: each requires the stripe mutex of the
   // stripe that owns the queue (passed explicitly so the thread-safety
   // analysis can name the capability).
@@ -209,10 +247,6 @@ class LockManager {
                        std::list<LockRequest>::iterator request,
                        bool is_conversion, LockMode restore_mode)
       IVDB_REQUIRES(stripe.lock_stripe_mu_);
-  // Mode the txn holds on `res` via a granted request, kNL if none.
-  LockMode HeldModeLocked(const Stripe& stripe, TxnId txn,
-                          const ResourceId& res) const
-      IVDB_REQUIRES(stripe.lock_stripe_mu_);
 
   // Waits-for helpers: require graph_mu_; they take stripes one at a time
   // internally to read live queue state.
@@ -220,16 +254,18 @@ class LockManager {
   std::vector<TxnId> BlockersOfLocked(TxnId txn) const
       IVDB_REQUIRES(graph_mu_);
 
-  // Post-grant bookkeeping (txn_locks_ / key_counts_ / escalation), run
-  // after the stripe is released; safe because a transaction's own entries
-  // only change under its engine owner latch.
-  void FinishGrant(TxnId txn, const ResourceId& res, bool fresh_request,
+  // Post-grant bookkeeping in the transaction's record (held mode, key
+  // count, escalation), run after the stripe is released; safe because a
+  // record only changes through its own transaction's requests.
+  void FinishGrant(TxnId txn, const ResourceId& res, LockMode granted,
                    bool is_conversion);
   // Attempts to replace the txn's key locks on `object_id` with one
   // object-level lock; silently does nothing if that lock cannot be
-  // granted immediately. Takes stripes one at a time under graph_mu_.
-  void TryEscalateLocked(TxnId txn, uint32_t object_id)
-      IVDB_REQUIRES(graph_mu_);
+  // granted immediately. Takes stripes one at a time under the record's
+  // shard mutex.
+  void TryEscalateLocked(TxnShard& shard, TxnLocks* record, TxnId txn,
+                         uint32_t object_id)
+      IVDB_REQUIRES(shard.txn_shard_mu_);
 
   Options options_;
   // Private fallback registry (standalone use); the handles in metrics_
@@ -241,18 +277,14 @@ class LockManager {
   // Striped lock table (fixed size after construction).
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
-  // Cross-resource bookkeeping; ranked below the stripes so the deadlock
-  // DFS and escalation may take stripes while holding it, never the
-  // reverse.
+  // Per-transaction records, sharded by transaction id.
+  mutable std::array<TxnShard, kTxnShards> txn_shards_;
+
+  // The waits-for graph; ranked below the shards and the stripes so the
+  // deadlock DFS may take stripes while holding it, never the reverse.
   mutable RankedMutex graph_mu_{LockRank::kLockGraph, "graph_mu_"};
-  // Resources each txn has granted requests in.
-  std::map<TxnId, std::set<ResourceId>> txn_locks_
-      IVDB_GUARDED_BY(graph_mu_);
   // Resource each txn is currently waiting on (at most one).
   std::map<TxnId, ResourceId> waiting_on_ IVDB_GUARDED_BY(graph_mu_);
-  // Granted key-lock counts per (txn, object): escalation trigger.
-  std::map<std::pair<TxnId, uint32_t>, size_t> key_counts_
-      IVDB_GUARDED_BY(graph_mu_);
 };
 
 }  // namespace ivdb

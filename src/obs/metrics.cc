@@ -223,5 +223,17 @@ std::string MetricsRegistry::RenderPrometheus() const {
   return out;
 }
 
+std::string RenderMutexContention() {
+  std::string out = "# TYPE ivdb_mutex_contended_total counter\n";
+  for (int i = 0; i <= kMaxLockRank; i++) {
+    const LockRank rank = static_cast<LockRank>(i);
+    const char* name = LockRankName(rank);
+    if (name == nullptr) continue;
+    AppendSample(&out, WithLabel("ivdb_mutex_contended_total", "rank", name),
+                 MutexContendedCount(rank));
+  }
+  return out;
+}
+
 }  // namespace obs
 }  // namespace ivdb

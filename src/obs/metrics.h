@@ -157,6 +157,12 @@ class MetricsRegistry {
       IVDB_GUARDED_BY(registry_mu_);
 };
 
+// `ivdb_mutex_contended_total{rank="kLockGraph"}` samples, one per lock
+// rank: blocking acquisitions that found the mutex held (common/mutex.h).
+// Process-wide — every engine instance in the process adds to the same
+// counters — so they live outside any MetricsRegistry.
+std::string RenderMutexContention();
+
 }  // namespace obs
 }  // namespace ivdb
 

@@ -31,10 +31,21 @@ VersionStore::Stripe& VersionStore::StripeFor(const ChainKey& ck) const {
 }
 
 VersionStore::PendingTxn* VersionStore::PendingFor(TxnId txn) {
-  MutexLock guard(&pending_mu_);
-  PendingTxn& pending = pending_[txn];
+  PendingShard& shard = PendingShardFor(txn);
+  MutexLock guard(&shard.pending_mu_);
+  PendingTxn& pending = shard.txns[txn];
   if (!pending.stamp) pending.stamp = StampRef(txn);
   return &pending;
+}
+
+std::optional<VersionStore::PendingTxn> VersionStore::TakePending(TxnId txn) {
+  PendingShard& shard = PendingShardFor(txn);
+  MutexLock guard(&shard.pending_mu_);
+  auto it = shard.txns.find(txn);
+  if (it == shard.txns.end()) return std::nullopt;
+  PendingTxn record = std::move(it->second);
+  shard.txns.erase(it);
+  return record;
 }
 
 #if IVDB_CHECKS_ENABLED
@@ -270,42 +281,33 @@ Status VersionStore::ApplyWithPendingWrite(
 
 void VersionStore::Commit(TxnId txn, uint64_t commit_ts) {
   IVDB_CHECK_MSG(commit_ts != 0, "commit timestamp 0 means pending");
-  // Take the record out first (pending_mu_). Nothing can add to its key
+  // Take the record out of its shard first. Nothing can add to its key
   // list in between: only the owning transaction's thread appends, and its
   // writes happened-before whichever thread is flipping it here
-  // (flip_queue_ hand-off under the txn manager's visibility mutex).
-  PendingTxn record;
-  {
-    MutexLock guard(&pending_mu_);
-    auto it = pending_.find(txn);
-    if (it == pending_.end()) return;
-    record = std::move(it->second);
-    pending_.erase(it);
-  }
+  // (flip_queue_ hand-off under the txn manager's visibility mutex). That
+  // thread may be flipping other transactions too; it takes only this
+  // transaction's shard, so the owners of the other shards keep writing.
+  std::optional<PendingTxn> record = TakePending(txn);
+  if (!record) return;
   // The flip itself: every entry of the transaction resolves through this
   // one stamp. A reader that drew its snapshot before the caller publishes
   // commit_ts has snapshot_ts < commit_ts, so it keeps resolving the
   // pre-image whether it loads the stamp before or after this store.
-  record.stamp->ts.store(commit_ts, std::memory_order_release);
+  record->stamp->ts.store(commit_ts, std::memory_order_release);
   // Invalidation hook, no stripe held (rank 20 -> 33 only, never
   // 40 -> 33). The commit is not yet published: any snapshot that can see
   // commit_ts draws its begin_ts after the publish, hence after this.
   if (commit_hook_) {
-    for (const ChainKey& ck : record.keys) {
+    for (const ChainKey& ck : record->keys) {
       commit_hook_(ck.first, ck.second, commit_ts);
     }
   }
 }
 
 void VersionStore::Abort(TxnId txn, uint64_t retire_stamp) {
-  std::vector<ChainKey> keys;
-  {
-    MutexLock guard(&pending_mu_);
-    auto it = pending_.find(txn);
-    if (it == pending_.end()) return;
-    keys = std::move(it->second.keys);
-    pending_.erase(it);
-  }
+  std::optional<PendingTxn> record = TakePending(txn);
+  if (!record) return;
+  const std::vector<ChainKey>& keys = record->keys;
   // Unlink under the stripes, free via the epoch reclaimer: same discipline
   // as GarbageCollect, so NO version payload is ever destroyed while a
   // stripe mutex is held. The stamp is never stored, so the entries read

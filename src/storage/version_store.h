@@ -1,12 +1,14 @@
 #ifndef IVDB_STORAGE_VERSION_STORE_H_
 #define IVDB_STORAGE_VERSION_STORE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,11 +54,14 @@ namespace ivdb {
 // map, so writers on independent keys never contend. All stripe mutexes
 // share one rank, which forbids nesting two (multi-key operations — abort,
 // GC, scans — visit stripes one at a time). The txn -> stamp and
-// dirty-chain-key bookkeeping (pending_) lives under its own pending_mu_,
-// ranked below the stripes and taken only with no stripe held: a writer
-// fetches its record before taking the stripe and records a new dirty key
-// after releasing it, which is safe because only the owning transaction's
-// thread touches its own key list until commit/abort.
+// dirty-chain-key bookkeeping (pending_) is split into kPendingShards
+// cache-line-aligned shards chosen by `txn % kPendingShards`, each with its
+// own pending_mu_, so concurrent transactions' PendingFor/Commit/Abort
+// calls touch disjoint mutexes. A shard mutex ranks below the stripes and
+// is taken only with no stripe held: a writer fetches its record before
+// taking the stripe and records a new dirty key after releasing it, which
+// is safe because only the owning transaction's thread touches its own key
+// list until commit/abort.
 //
 // Commit stamps: every pending entry of a transaction shares one
 // CommitStamp, so Commit is one release-store of the commit timestamp,
@@ -72,6 +77,10 @@ namespace ivdb {
 // stamp has left the reader epoch.
 class VersionStore {
  public:
+  // Shards of the pending-transaction map; transaction `t` lives in shard
+  // `t % kPendingShards`.
+  static constexpr size_t kPendingShards = 16;
+
   VersionStore();
   VersionStore(const VersionStore&) = delete;
   VersionStore& operator=(const VersionStore&) = delete;
@@ -137,7 +146,8 @@ class VersionStore {
 
   // Converts all pending entries of `txn` into committed versions stamped
   // with commit_ts (> 0): one store into the transaction's CommitStamp, then
-  // the commit hook for each dirty key. Takes pending_mu_ only.
+  // the commit hook for each dirty key. Takes only `txn`'s pending shard;
+  // the caller may be another transaction's thread (the commit flip).
   void Commit(TxnId txn, uint64_t commit_ts);
 
   // Discards all pending entries of `txn` (the physical rollback restores
@@ -339,15 +349,31 @@ class VersionStore {
   struct PendingTxn {
     StampRef stamp;  // set by PendingFor
     // Appended without pending_mu_ by the owning transaction's thread only;
-    // Commit/Abort take the record out under pending_mu_ after the owner's
-    // last write happened-before them (see Commit).
+    // Commit/Abort take the record out under its shard's pending_mu_ after
+    // the owner's last write happened-before them (see Commit).
     std::vector<ChainKey> keys;
   };
 
-  // `txn`'s record, created on first use (pending_mu_). Called before the
-  // caller takes a stripe, so pending_mu_ is never acquired under one; map
-  // nodes are stable, so the pointer outlives the mutex.
+  // One shard of the txn -> PendingTxn map. Cache-line aligned so two
+  // shards never false-share; every shard mutex carries rank
+  // kVersionPending, so the order checker rejects nesting two.
+  struct alignas(64) PendingShard {
+    mutable RankedMutex pending_mu_{LockRank::kVersionPending, "pending_mu_"};
+    std::unordered_map<TxnId, PendingTxn> txns IVDB_GUARDED_BY(pending_mu_);
+  };
+
+  PendingShard& PendingShardFor(TxnId txn) {
+    return pending_[txn % kPendingShards];
+  }
+
+  // `txn`'s record, created on first use (its shard's pending_mu_). Called
+  // before the caller takes a stripe, so pending_mu_ is never acquired
+  // under one; unordered_map nodes are stable, so the pointer outlives the
+  // mutex.
   PendingTxn* PendingFor(TxnId txn);
+
+  // Removes and returns `txn`'s record (nullopt when it wrote nothing).
+  std::optional<PendingTxn> TakePending(TxnId txn);
 
   // Unlocked internals (the owning stripe's mutex held by caller). The
   // note helpers return true when they created a new pending entry, whose
@@ -368,10 +394,9 @@ class VersionStore {
   // Striped chain map (fixed size after construction).
   std::vector<std::unique_ptr<Stripe>> stripes_;
 
-  // txn -> its stamp and dirty keys. Ranked below the stripes and never
-  // taken while one is held.
-  mutable RankedMutex pending_mu_{LockRank::kVersionPending, "pending_mu_"};
-  std::map<TxnId, PendingTxn> pending_ IVDB_GUARDED_BY(pending_mu_);
+  // txn -> its stamp and dirty keys, sharded by txn id. Ranked below the
+  // stripes and never taken while one is held.
+  std::array<PendingShard, kPendingShards> pending_;
 
   // Deferred-free pile for unlinked versions (rank 38, taken with no
   // stripe held).

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
+
+#include "common/invariant.h"
+#include "common/mutex.h"
 
 namespace ivdb {
 namespace {
@@ -346,6 +352,244 @@ TEST(LockManager, StressManyThreadsManyKeys) {
   // No lingering holders.
   for (int i = 0; i < 5; i++) {
     EXPECT_EQ(lm.NumHolders(ResourceId::Key(1, "k" + std::to_string(i))), 0);
+  }
+}
+
+// Transactions k and k + kTxnShards share one record shard; each one's
+// grants, conversions and releases must leave the other's record alone.
+TEST(LockManager, ShardCollidingTransactionsAreIndependent) {
+  LockManager lm;
+  const TxnId a = 3;
+  const TxnId b = a + LockManager::kTxnShards;
+  ASSERT_TRUE(lm.Lock(a, Table(), LockMode::kIX).ok());
+  ASSERT_TRUE(lm.Lock(b, Table(), LockMode::kIX).ok());
+  ASSERT_TRUE(lm.Lock(a, RowKey("a"), LockMode::kS).ok());
+  ASSERT_TRUE(lm.Lock(b, RowKey("b"), LockMode::kS).ok());
+  ASSERT_TRUE(lm.Lock(a, RowKey("hot"), LockMode::kE).ok());
+  ASSERT_TRUE(lm.Lock(b, RowKey("hot"), LockMode::kE).ok());
+
+  // Conversions: each upgrades its own key; the other's mode is untouched.
+  ASSERT_TRUE(lm.Lock(a, RowKey("a"), LockMode::kX).ok());
+  EXPECT_EQ(lm.HeldMode(a, RowKey("a")), LockMode::kX);
+  EXPECT_EQ(lm.HeldMode(b, RowKey("b")), LockMode::kS);
+  EXPECT_EQ(lm.HeldMode(b, RowKey("a")), LockMode::kNL);
+  ASSERT_TRUE(lm.Lock(b, RowKey("b"), LockMode::kX).ok());
+  EXPECT_EQ(lm.HeldMode(b, RowKey("b")), LockMode::kX);
+  EXPECT_EQ(lm.HeldMode(a, RowKey("b")), LockMode::kNL);
+  EXPECT_EQ(lm.NumHolders(RowKey("hot")), 2);
+
+  // The records really are separate: b cannot take a's X key.
+  EXPECT_TRUE(lm.TryLock(b, RowKey("a"), LockMode::kS).IsBusy());
+
+  lm.ReleaseAll(a);
+  EXPECT_EQ(lm.HeldMode(a, Table()), LockMode::kNL);
+  EXPECT_EQ(lm.HeldMode(a, RowKey("a")), LockMode::kNL);
+  EXPECT_EQ(lm.HeldMode(b, Table()), LockMode::kIX);
+  EXPECT_EQ(lm.HeldMode(b, RowKey("b")), LockMode::kX);
+  EXPECT_EQ(lm.HeldMode(b, RowKey("hot")), LockMode::kE);
+  EXPECT_EQ(lm.NumHolders(RowKey("a")), 0);
+  EXPECT_EQ(lm.NumHolders(RowKey("hot")), 1);
+  EXPECT_TRUE(lm.TryLock(b, RowKey("a"), LockMode::kS).ok());
+
+  lm.ReleaseAll(b);
+  for (const ResourceId& res :
+       {Table(), RowKey("a"), RowKey("b"), RowKey("hot")}) {
+    EXPECT_EQ(lm.NumHolders(res), 0) << res.ToString();
+    EXPECT_EQ(lm.HeldMode(b, res), LockMode::kNL) << res.ToString();
+  }
+}
+
+// Once key locks escalate to an object lock, later key requests the object
+// lock implies are answered from the transaction's record: counted as
+// covered, with no key-level request in the lock table.
+TEST(LockManager, EscalatedObjectLockCoversKeysFromRecord) {
+  LockManager::Options options;
+  options.escalation_threshold = 2;
+  LockManager lm(options);
+  ASSERT_TRUE(lm.Lock(1, Table(), LockMode::kIX).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kX).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("b"), LockMode::kX).ok());
+  ASSERT_EQ(lm.metrics().escalations->Value(), 1u);
+  EXPECT_EQ(lm.HeldMode(1, Table()), LockMode::kX);
+  EXPECT_EQ(lm.HeldMode(1, RowKey("a")), LockMode::kNL);
+  EXPECT_EQ(lm.NumHolders(RowKey("a")), 0);
+
+  const uint64_t covered = lm.metrics().covered_by_object_lock->Value();
+  ASSERT_TRUE(lm.Lock(1, RowKey("c"), LockMode::kX).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kS).ok());
+  EXPECT_EQ(lm.metrics().covered_by_object_lock->Value(), covered + 2);
+  EXPECT_EQ(lm.NumHolders(RowKey("c")), 0);
+  EXPECT_EQ(lm.NumHolders(RowKey("a")), 0);
+  EXPECT_EQ(lm.HeldMode(1, RowKey("c")), LockMode::kNL);
+
+  // Another transaction's key request still sees the object lock.
+  EXPECT_TRUE(lm.TryLock(2, Table(), LockMode::kIS).IsBusy());
+  lm.ReleaseAll(1);
+  EXPECT_EQ(lm.NumHolders(Table()), 0);
+  EXPECT_TRUE(lm.TryLock(2, Table(), LockMode::kIS).ok());
+}
+
+TEST(LockManager, HeldModeAfterUnlockAndReleaseAll) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Lock(1, Table(), LockMode::kIX).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kS).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kX).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("b"), LockMode::kE).ok());
+  EXPECT_EQ(lm.HeldMode(1, RowKey("a")), LockMode::kX);
+
+  lm.Unlock(1, RowKey("a"));
+  EXPECT_EQ(lm.HeldMode(1, RowKey("a")), LockMode::kNL);
+  EXPECT_EQ(lm.NumHolders(RowKey("a")), 0);
+  EXPECT_EQ(lm.HeldMode(1, RowKey("b")), LockMode::kE);
+  EXPECT_EQ(lm.HeldMode(1, Table()), LockMode::kIX);
+  // Re-acquiring after Unlock creates a fresh request.
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kS).ok());
+  EXPECT_EQ(lm.HeldMode(1, RowKey("a")), LockMode::kS);
+  EXPECT_EQ(lm.NumHolders(RowKey("a")), 1);
+
+  lm.ReleaseAll(1);
+  for (const ResourceId& res : {Table(), RowKey("a"), RowKey("b")}) {
+    EXPECT_EQ(lm.HeldMode(1, res), LockMode::kNL) << res.ToString();
+    EXPECT_EQ(lm.NumHolders(res), 0) << res.ToString();
+  }
+  // A released transaction id starts from an empty record.
+  ASSERT_TRUE(lm.Lock(1, RowKey("b"), LockMode::kS).ok());
+  EXPECT_EQ(lm.HeldMode(1, RowKey("b")), LockMode::kS);
+  lm.ReleaseAll(1);
+}
+
+// graph_mu_ (rank kLockGraph) is taken only by a request that must wait.
+// The runtime lock-order checker proves it: this thread holds another
+// rank-kLockGraph mutex throughout, so any acquisition of graph_mu_ (or of
+// anything ranked at or below it) would abort the test. Grants,
+// conversions, coverage hits, escalation, TryLock refusals, Unlock,
+// ReleaseAll and HeldMode all run under it.
+TEST(LockManager, RequestsThatDoNotWaitNeverTakeTheGraphMutex) {
+  if (!IVDB_CHECKS_ENABLED) {
+    GTEST_SKIP() << "checkers compiled out (NDEBUG without IVDB_CHECKS)";
+  }
+  LockManager::Options options;
+  options.escalation_threshold = 3;
+  LockManager lm(options);
+  RankedMutex same_rank_as_graph{LockRank::kLockGraph, "same_rank_as_graph"};
+  MutexLock guard(&same_rank_as_graph);
+
+  ASSERT_TRUE(lm.Lock(1, Table(), LockMode::kIX).ok());
+  ASSERT_TRUE(lm.Lock(2, Table(), LockMode::kIX).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("hot"), LockMode::kE).ok());
+  ASSERT_TRUE(lm.Lock(2, RowKey("hot"), LockMode::kE).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kS).ok());
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kX).ok());  // conversion
+  ASSERT_TRUE(lm.Lock(1, RowKey("a"), LockMode::kS).ok());  // re-entrant
+  EXPECT_TRUE(lm.TryLock(2, RowKey("a"), LockMode::kS).IsBusy());
+  lm.Unlock(1, RowKey("a"));
+  EXPECT_EQ(lm.HeldMode(1, RowKey("a")), LockMode::kNL);
+
+  // Escalation (txn 3 alone on object 2), then a covered key request.
+  const ResourceId obj2 = ResourceId::Object(2);
+  ASSERT_TRUE(lm.Lock(3, obj2, LockMode::kIX).ok());
+  for (const char* k : {"x", "y", "z"}) {
+    ASSERT_TRUE(lm.Lock(3, ResourceId::Key(2, k), LockMode::kX).ok());
+  }
+  EXPECT_EQ(lm.metrics().escalations->Value(), 1u);
+  ASSERT_TRUE(lm.Lock(3, ResourceId::Key(2, "w"), LockMode::kX).ok());
+  EXPECT_EQ(lm.HeldMode(3, obj2), LockMode::kX);
+
+  lm.ReleaseAll(1);
+  lm.ReleaseAll(2);
+  lm.ReleaseAll(3);
+  EXPECT_EQ(lm.NumHolders(RowKey("hot")), 0);
+  EXPECT_EQ(lm.NumHolders(obj2), 0);
+  EXPECT_EQ(lm.metrics().waits->Value(), 0u);
+}
+
+// Eight threads: every transaction takes a shared IX on the table, X on a
+// key of its own and E on one shared row, sometimes upgrading its key; every
+// few rounds thread pairs build a two-transaction deadlock cycle on purpose.
+// Transaction ids are chosen so that all even threads share one record
+// shard and all odd threads another.
+TEST(LockManager, StressShardedRecordsWithDeadlockCycles) {
+  LockManager::Options options;
+  options.wait_timeout = 10000ms;
+  LockManager lm(options);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 120;
+  constexpr int kCycleEvery = 8;
+  const ResourceId hot = RowKey("hot");
+  std::atomic<int> deadlocks{0};
+  std::atomic<int> failures{0};
+  std::vector<std::unique_ptr<std::barrier<>>> pair_barriers;
+  for (int p = 0; p < kThreads / 2; p++) {
+    pair_barriers.push_back(std::make_unique<std::barrier<>>(2));
+  }
+  auto txn_id = [](int t, int round, int step) {
+    const uint64_t seq = (static_cast<uint64_t>(round) * 2 + step) * kThreads +
+                         static_cast<uint64_t>(t);
+    return static_cast<TxnId>(seq * LockManager::kTxnShards + (t % 2) + 1);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; round++) {
+        const TxnId txn = txn_id(t, round, 0);
+        const ResourceId own =
+            RowKey("t" + std::to_string(t) + "_" + std::to_string(round % 4));
+        bool ok = lm.Lock(txn, Table(), LockMode::kIX).ok() &&
+                  lm.Lock(txn, own, round % 3 == 0 ? LockMode::kS
+                                                   : LockMode::kX).ok() &&
+                  lm.Lock(txn, hot, LockMode::kE).ok() &&
+                  lm.Lock(txn, own, LockMode::kX).ok() &&
+                  lm.HeldMode(txn, own) == LockMode::kX &&
+                  lm.HeldMode(txn, hot) == LockMode::kE;
+        if (!ok) failures++;
+        lm.ReleaseAll(txn);
+
+        if (round % kCycleEvery != 0) continue;
+        // Pair (2p, 2p + 1) locks A then B and B then A, meeting at a
+        // barrier in between, so the cycle forms every time.
+        const int pair = t / 2;
+        const TxnId cyc = txn_id(t, round, 1);
+        const ResourceId first =
+            RowKey("p" + std::to_string(pair) + (t % 2 == 0 ? "a" : "b"));
+        const ResourceId second =
+            RowKey("p" + std::to_string(pair) + (t % 2 == 0 ? "b" : "a"));
+        if (!lm.Lock(cyc, Table(), LockMode::kIX).ok() ||
+            !lm.Lock(cyc, first, LockMode::kX).ok()) {
+          failures++;
+        }
+        pair_barriers[pair]->arrive_and_wait();
+        Status s = lm.Lock(cyc, second, LockMode::kX);
+        if (s.IsDeadlock()) {
+          deadlocks++;
+        } else if (!s.ok()) {
+          failures++;
+        }
+        lm.ReleaseAll(cyc);
+        // Both partners are done before either starts the next round.
+        pair_barriers[pair]->arrive_and_wait();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  // Every forced cycle was broken by at least one victim, never by a
+  // timeout.
+  const int cycles = (kThreads / 2) * ((kRounds + kCycleEvery - 1) /
+                                       kCycleEvery);
+  EXPECT_GE(deadlocks.load(), cycles);
+  EXPECT_EQ(lm.metrics().timeouts->Value(), 0u);
+  EXPECT_EQ(lm.NumHolders(Table()), 0);
+  EXPECT_EQ(lm.NumHolders(hot), 0);
+  for (int t = 0; t < kThreads; t++) {
+    for (int k = 0; k < 4; k++) {
+      EXPECT_EQ(lm.NumHolders(RowKey("t" + std::to_string(t) + "_" +
+                                     std::to_string(k))),
+                0);
+    }
+  }
+  for (int p = 0; p < kThreads / 2; p++) {
+    EXPECT_EQ(lm.NumHolders(RowKey("p" + std::to_string(p) + "a")), 0);
+    EXPECT_EQ(lm.NumHolders(RowKey("p" + std::to_string(p) + "b")), 0);
   }
 }
 

@@ -308,6 +308,43 @@ TEST(Registry, ConcurrentGetIsSafe) {
   for (int t = 1; t < 8; t++) EXPECT_EQ(seen[0], seen[static_cast<size_t>(t)]);
 }
 
+// A blocking acquisition that finds the mutex held bumps its rank's
+// process-wide counter; an uncontended one does not.
+TEST(MutexContention, CountsOnlyBlockedAcquisitions) {
+  RankedMutex held_mu{LockRank::kFaultEnv, "held_mu"};
+  RankedSharedMutex shared_mu{LockRank::kFaultEnv, "shared_mu"};
+  const uint64_t before = MutexContendedCount(LockRank::kFaultEnv);
+  { MutexLock guard(&held_mu); }
+  { ReaderMutexLock guard(&shared_mu); }
+  EXPECT_EQ(MutexContendedCount(LockRank::kFaultEnv), before);
+
+  std::atomic<bool> locked{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    MutexLock guard(&held_mu);
+    locked = true;
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!locked.load()) std::this_thread::yield();
+  std::thread contender([&] { MutexLock guard(&held_mu); });
+  // The contender counts before it blocks; wait for that, then let go.
+  while (MutexContendedCount(LockRank::kFaultEnv) == before) {
+    std::this_thread::yield();
+  }
+  release = true;
+  holder.join();
+  contender.join();
+  EXPECT_GE(MutexContendedCount(LockRank::kFaultEnv), before + 1);
+
+  const std::string text = RenderMutexContention();
+  EXPECT_NE(text.find("# TYPE ivdb_mutex_contended_total counter"),
+            std::string::npos);
+  EXPECT_NE(text.find("ivdb_mutex_contended_total{rank=\"kLockGraph\"} "),
+            std::string::npos);
+  EXPECT_NE(text.find("ivdb_mutex_contended_total{rank=\"kFaultEnv\"} "),
+            std::string::npos);
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace ivdb

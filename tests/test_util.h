@@ -16,6 +16,8 @@
 #include <string>
 #include <utility>
 
+#include <unistd.h>
+
 #include "common/random.h"
 #include "engine/database.h"
 
@@ -212,7 +214,11 @@ class SalesDbTest : public ::testing::Test {
 class DurableDbTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The process id keeps test binaries that run at once apart: heap
+    // layouts repeat across processes (notably under TSan), so `this`
+    // alone can name the same directory in two binaries.
     dir_ = ::testing::TempDir() + "durable_db_test_" +
+           std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
     std::filesystem::remove_all(dir_);
   }

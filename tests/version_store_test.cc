@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "catalog/schema.h"
 #include "common/invariant.h"
 #include "storage/btree.h"
@@ -325,6 +328,76 @@ TEST(VersionStore, ValueVersionsMustBeAddedInCommitOrder) {
         vs.NotePendingWrite(kObj, "k", std::string("b"), 2);
       },
       "ordered after a pending one");
+}
+
+// Transactions k and k + kPendingShards share one pending shard. One is
+// committed from another thread while the other keeps writing; neither
+// may lose or leak the other's entries.
+TEST(VersionStore, SharedPendingShardFlipWhileOtherWrites) {
+  VersionStore vs;
+  const TxnId flipped = 5;
+  const TxnId writer = flipped + VersionStore::kPendingShards;
+  constexpr int kKeys = 200;
+  for (int i = 0; i < kKeys; i++) {
+    vs.NotePendingWrite(kObj, "f" + std::to_string(i), std::string("old"),
+                        flipped);
+  }
+  vs.NotePendingIncrement(kObj, "g", {{1, Value::Int64(4)}}, flipped);
+
+  std::atomic<bool> flipped_done{false};
+  std::thread writer_thread([&] {
+    for (int i = 0; i < kKeys; i++) {
+      vs.NotePendingWrite(kObj, "w" + std::to_string(i), std::string("old"),
+                          writer);
+      vs.NotePendingIncrement(kObj, "g", {{1, Value::Int64(1)}}, writer);
+    }
+    // Keep writing until the flip has certainly happened.
+    int extra = 0;
+    while (!flipped_done.load()) {
+      vs.NotePendingWrite(kObj, "x" + std::to_string(extra++),
+                          std::string("old"), writer);
+    }
+  });
+  std::thread flipper([&] {
+    vs.Commit(flipped, 100);
+    flipped_done = true;
+  });
+  flipper.join();
+  writer_thread.join();
+
+  // The flipped transaction's writes are visible from 100 on.
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = "f" + std::to_string(i);
+    EXPECT_TRUE(vs.GetAsOf(kObj, key, 99).use_chain_value) << key;
+    EXPECT_FALSE(vs.GetAsOf(kObj, key, 100).use_chain_value) << key;
+  }
+  // The writer's are still pending at any snapshot.
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = "w" + std::to_string(i);
+    VersionStore::SnapshotView view = vs.GetAsOf(kObj, key, UINT64_MAX);
+    ASSERT_TRUE(view.use_chain_value) << key;
+    EXPECT_EQ(*view.chain_value, "old");
+  }
+  std::vector<std::vector<ColumnDelta>> pending = vs.PendingDeltas(kObj, "g");
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0][0].delta.AsInt64(), kKeys);
+  EXPECT_TRUE(vs.GetAsOf(kObj, "g", 100).subtract.size() == 1u);
+
+  // The writer's record survived the flip intact: committing it flips
+  // every key it wrote, including those written during the flip.
+  vs.Commit(writer, 200);
+  EXPECT_TRUE(vs.PendingDeltas(kObj, "g").empty());
+  for (int i = 0; i < kKeys; i++) {
+    const std::string key = "w" + std::to_string(i);
+    EXPECT_TRUE(vs.GetAsOf(kObj, key, 199).use_chain_value) << key;
+    EXPECT_FALSE(vs.GetAsOf(kObj, key, 200).use_chain_value) << key;
+  }
+  EXPECT_FALSE(vs.GetAsOf(kObj, "x0", 200).use_chain_value);
+  EXPECT_TRUE(vs.GetAsOf(kObj, "g", 200).subtract.empty());
+  // Aborting either id now finds nothing left to undo.
+  vs.Abort(flipped);
+  vs.Abort(writer);
+  EXPECT_FALSE(vs.GetAsOf(kObj, "w0", 200).use_chain_value);
 }
 
 }  // namespace
