@@ -1,21 +1,19 @@
-// Scaling of the parallel group-commit pipeline (docs/INTERNALS.md,
-// "Commit pipeline"): committer threads stage commit records into per-core
-// shards and a dedicated WAL writer coalesces everything staged into one
-// append and a single fsync per batch. The paper's claim is that commit
-// durability cost amortizes across concurrent committers; the observable
-// signatures are
+// Scaling of group commit (docs/INTERNALS.md §2): each committer appends
+// its COMMIT record to the shared WAL buffer, and whichever committer finds
+// no flush in progress becomes the leader, claims everything buffered, and
+// writes it with one append and one fsync while the rest wait as
+// followers. The paper's claim is that commit durability cost amortizes
+// across concurrent committers; the observable signatures are
 //
 //   * fsyncs-per-commit falling well below 1 as committers are added
 //     (the acceptance bar is < 0.25 at 8+ threads),
 //   * per-batch record counts (ivdb_wal_batch_records p50/p99) growing
-//     with load as the adaptive window stretches,
+//     with load, and
 //   * throughput scaling with threads while per-commit p99 stays near the
-//     simulated device latency, and
-//   * the serial inline leader/follower path (commit_pipeline=false) as
-//     the ablation baseline.
+//     simulated device latency.
 //
-// Each (threads, pipeline) cell runs against a fresh durable database with
-// the standard simulated stable-storage latency, so the numbers are
+// Each thread-count cell runs against a fresh durable database with the
+// standard simulated stable-storage latency, so the numbers are
 // host-independent.
 
 #include <filesystem>
@@ -41,7 +39,6 @@ struct CellResult {
   double fsyncs_per_commit = 0;
   double batch_p50 = 0;
   double batch_p99 = 0;
-  uint64_t staging_stalls = 0;
   // Commit-stage attribution (ivdb_commit_stage_micros{stage=...}). The
   // four stages partition each commit's latency exactly, so their means
   // sum to commit_mean to the microsecond; p50s sum only approximately
@@ -63,11 +60,10 @@ StageStats SnapStage(const obs::Histogram* h) {
   return s;
 }
 
-CellResult RunCell(const std::string& dir, int threads, bool pipeline,
-                   int duration_ms, bool recorder_on = true) {
+CellResult RunCell(const std::string& dir, int threads, int duration_ms,
+                   bool recorder_on = true) {
   std::filesystem::remove_all(dir);
   DatabaseOptions options = DurableOptions(dir);
-  options.commit_pipeline = pipeline;
   SalesBench bench = SalesBench::Create(std::move(options), /*groups=*/64);
   bench.db->flight_recorder()->SetEnabled(recorder_on);
 
@@ -91,7 +87,6 @@ CellResult RunCell(const std::string& dir, int threads, bool pipeline,
   obs::Histogram::Snapshot batches = wal.batch_records->Snap();
   cell.batch_p50 = batches.P50();
   cell.batch_p99 = batches.P99();
-  cell.staging_stalls = wal.staging_stalls->Value();
   const TxnManagerMetrics& txn = bench.db->txn_metrics();
   cell.staging_wait = SnapStage(txn.stage_staging_wait);
   cell.batch_assembly = SnapStage(txn.stage_batch_assembly);
@@ -116,57 +111,53 @@ int main() {
   using namespace ivdb::bench;
 
   const int duration_ms = BenchDurationMs(600);
-  const std::string dir = "/tmp/ivdb_bench_commit_pipeline";
+  const std::string dir = "/tmp/ivdb_bench_group_commit";
   const std::vector<int> thread_counts = {1, 2, 4, 8, 16};
 
   PrintHeader(
-      "Group-commit pipeline scaling",
-      "Staged commit records coalesce into one fsync per batch: fsyncs per "
-      "commit should collapse and batch size grow as committers are added, "
-      "with the inline serial path as the baseline.");
-  const std::vector<int> widths = {9, 10, 10, 12, 12, 14, 10, 10};
-  PrintRow({"threads", "pipeline", "tps", "p50_us", "p99_us", "fsync/commit",
-            "batch_p50", "batch_p99"},
+      "Group-commit scaling",
+      "Concurrent committers coalesce into one fsync per leader batch: "
+      "fsyncs per commit should collapse and batch size grow as committers "
+      "are added.");
+  const std::vector<int> widths = {9, 10, 12, 12, 14, 10, 10};
+  PrintRow({"threads", "tps", "p50_us", "p99_us", "fsync/commit", "batch_p50",
+            "batch_p99"},
            widths);
 
-  std::map<std::pair<bool, int>, CellResult> cells;
-  for (bool pipeline : {false, true}) {
-    for (int threads : thread_counts) {
-      CellResult cell = RunCell(dir, threads, pipeline, duration_ms);
-      cells[{pipeline, threads}] = cell;
-      PrintRow({std::to_string(threads), pipeline ? "on" : "off",
-                Fmt(cell.run.Tps(), 0), Fmt(cell.run.p50_micros, 0),
-                Fmt(cell.run.p99_micros, 0), Fmt(cell.fsyncs_per_commit, 3),
-                Fmt(cell.batch_p50, 1), Fmt(cell.batch_p99, 1)},
-               widths);
-      PrintResultJson(
-          "commit_pipeline",
-          {{"threads", std::to_string(threads)},
-           {"pipeline", pipeline ? "true" : "false"},
-           {"fsyncs_per_commit", Fmt(cell.fsyncs_per_commit, 4)},
-           {"batch_p50", Fmt(cell.batch_p50, 1)},
-           {"batch_p99", Fmt(cell.batch_p99, 1)},
-           {"staging_stalls", std::to_string(cell.staging_stalls)},
-           {"stage_staging_wait_p50", Fmt(cell.staging_wait.p50, 1)},
-           {"stage_batch_assembly_p50", Fmt(cell.batch_assembly.p50, 1)},
-           {"stage_fsync_p50", Fmt(cell.fsync.p50, 1)},
-           {"stage_flip_wait_p50", Fmt(cell.flip_wait.p50, 1)},
-           {"stage_staging_wait_mean", Fmt(cell.staging_wait.mean, 1)},
-           {"stage_batch_assembly_mean", Fmt(cell.batch_assembly.mean, 1)},
-           {"stage_fsync_mean", Fmt(cell.fsync.mean, 1)},
-           {"stage_flip_wait_mean", Fmt(cell.flip_wait.mean, 1)},
-           {"commit_mean", Fmt(cell.commit_mean, 1)},
-           {"commit_p50", Fmt(cell.commit_p50, 1)}},
-          cell.run);
-    }
+  std::map<int, CellResult> cells;
+  for (int threads : thread_counts) {
+    CellResult cell = RunCell(dir, threads, duration_ms);
+    cells[threads] = cell;
+    PrintRow({std::to_string(threads), Fmt(cell.run.Tps(), 0),
+              Fmt(cell.run.p50_micros, 0), Fmt(cell.run.p99_micros, 0),
+              Fmt(cell.fsyncs_per_commit, 3), Fmt(cell.batch_p50, 1),
+              Fmt(cell.batch_p99, 1)},
+             widths);
+    PrintResultJson(
+        "group_commit",
+        {{"threads", std::to_string(threads)},
+         {"fsyncs_per_commit", Fmt(cell.fsyncs_per_commit, 4)},
+         {"batch_p50", Fmt(cell.batch_p50, 1)},
+         {"batch_p99", Fmt(cell.batch_p99, 1)},
+         {"stage_staging_wait_p50", Fmt(cell.staging_wait.p50, 1)},
+         {"stage_batch_assembly_p50", Fmt(cell.batch_assembly.p50, 1)},
+         {"stage_fsync_p50", Fmt(cell.fsync.p50, 1)},
+         {"stage_flip_wait_p50", Fmt(cell.flip_wait.p50, 1)},
+         {"stage_staging_wait_mean", Fmt(cell.staging_wait.mean, 1)},
+         {"stage_batch_assembly_mean", Fmt(cell.batch_assembly.mean, 1)},
+         {"stage_fsync_mean", Fmt(cell.fsync.mean, 1)},
+         {"stage_flip_wait_mean", Fmt(cell.flip_wait.mean, 1)},
+         {"commit_mean", Fmt(cell.commit_mean, 1)},
+         {"commit_p50", Fmt(cell.commit_p50, 1)}},
+        cell.run);
   }
 
-  // Stage-attribution reconciliation at 8 pipelined threads: the four
-  // stages partition every commit's latency, so their means must sum to
-  // the measured end-to-end commit mean (within tolerance — histogram
-  // bucketing rounds each stage independently).
+  // Stage-attribution reconciliation at 8 threads: the four stages
+  // partition every commit's latency, so their means must sum to the
+  // measured end-to-end commit mean (within tolerance — histogram bucketing
+  // rounds each stage independently).
   {
-    const CellResult& cell = cells[{true, 8}];
+    const CellResult& cell = cells[8];
     const double stage_mean_sum = cell.staging_wait.mean +
                                   cell.batch_assembly.mean + cell.fsync.mean +
                                   cell.flip_wait.mean;
@@ -183,15 +174,13 @@ int main() {
     }
   }
 
-  // Flight-recorder overhead A/B at 8 pipelined threads: same cell with the
-  // recorder enabled vs disabled. The Emit fast path is a handful of
-  // relaxed/release stores per commit, so the throughput delta must stay
-  // within the acceptance bar (<= 3%) plus run-to-run noise.
+  // Flight-recorder overhead A/B at 8 threads: same cell with the recorder
+  // enabled vs disabled. The Emit fast path is a handful of relaxed/release
+  // stores per commit, so the throughput delta must stay within the
+  // acceptance bar (<= 3%) plus run-to-run noise.
   {
-    const CellResult on = RunCell(dir, 8, true, duration_ms,
-                                  /*recorder_on=*/true);
-    const CellResult off = RunCell(dir, 8, true, duration_ms,
-                                   /*recorder_on=*/false);
+    const CellResult on = RunCell(dir, 8, duration_ms, /*recorder_on=*/true);
+    const CellResult off = RunCell(dir, 8, duration_ms, /*recorder_on=*/false);
     const double overhead_pct =
         off.run.Tps() > 0
             ? 100.0 * (off.run.Tps() - on.run.Tps()) / off.run.Tps()
@@ -214,17 +203,17 @@ int main() {
 
   // Headline numbers the acceptance bar cares about, spelled out so a human
   // (or CI grep) can read them off the tail of the run.
-  const CellResult& one = cells[{true, 1}];
-  const CellResult& eight = cells[{true, 8}];
-  const CellResult& sixteen = cells[{true, 16}];
+  const CellResult& one = cells[1];
+  const CellResult& eight = cells[8];
+  const CellResult& sixteen = cells[16];
   const double scaling =
       one.run.Tps() > 0 ? sixteen.run.Tps() / one.run.Tps() : 0;
   std::printf(
-      "\npipeline summary: fsyncs/commit %.3f @8t, %.3f @16t; "
+      "\ngroup commit summary: fsyncs/commit %.3f @8t, %.3f @16t; "
       "16-thread scaling %.2fx over 1 thread\n",
       eight.fsyncs_per_commit, sixteen.fsyncs_per_commit, scaling);
   IVDB_CHECK_MSG(eight.fsyncs_per_commit < 1.0 &&
                      sixteen.fsyncs_per_commit < 1.0,
-                 "pipeline failed to amortize fsyncs across committers");
+                 "group commit failed to amortize fsyncs across committers");
   return 0;
 }

@@ -86,7 +86,7 @@ class LogicalClock {
   std::atomic<uint64_t> next_;
 };
 
-// Sharded logical timestamp source for the parallel commit pipeline.
+// Sharded logical timestamp source for the commit path.
 //
 // A single LogicalClock makes every Begin and every commit contend on one
 // cache line. EpochClock splits the timestamp space instead:

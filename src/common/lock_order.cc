@@ -25,7 +25,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kBtreeLatch: return "kBtreeLatch";
     case LockRank::kWalFlush: return "kWalFlush";
     case LockRank::kWalSegments: return "kWalSegments";
-    case LockRank::kWalShard: return "kWalShard";
     case LockRank::kWalBuffer: return "kWalBuffer";
     case LockRank::kCatalog: return "kCatalog";
     case LockRank::kMetricsRegistry: return "kMetricsRegistry";

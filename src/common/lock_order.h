@@ -41,11 +41,9 @@
 //   VersionStore::version_stripe_mu_ (40) one version-chain stripe (never
 //                                      nested with another stripe)
 //   BTree::latch_               (45)   per-tree structural latch
-//   LogManager::flush_mu_       (50)   flush waiters + WAL-writer parking
+//   LogManager::flush_mu_       (50)   group-commit leader/follower state
 //   LogManager::seg_mu_         (55)   WAL segment manifest (rotation/retire)
-//   LogManager::wal_shard_mu_   (58)   one commit-staging shard (never
-//                                      nested with another shard)
-//   LogManager::buf_mu_         (60)   WAL append buffer (serial path)
+//   LogManager::buf_mu_         (60)   WAL append buffer
 //   Catalog::catalog_mu_        (70)   name/schema maps: never calls out
 //   MetricsRegistry::registry_mu_ (80) instrument interning (leaf)
 //   FlightRecorder::flight_mu_  (83)   flight-recorder thread registration
@@ -56,20 +54,20 @@
 //   FaultInjectionEnv::env_mu_  (90)   fault schedule (env ops under seg_mu_)
 //
 // e.g. Commit holds visibility_mu_ (20) while drawing the durable epoch
-// (21), staging the COMMIT record (58/60) and flipping versions (40);
-// ApplyIncrement holds a version stripe (40) while staging the INCREMENT
-// record (58/60); the group-commit leader holds flush_mu_ (50) while
+// (21), appending the COMMIT record (60) and flipping versions (40);
+// ApplyIncrement holds a version stripe (40) while appending the INCREMENT
+// record (60); the group-commit leader holds flush_mu_ (50) while
 // swapping the buffer (60); snapshot reads hold a version stripe (40) while
 // probing the physical tree (45).
 //
 // Striping note: the lock-table stripes all share rank 30, the per-txn lock
 // record shards rank 29, the version-store pending shards rank 37, the
-// version-chain stripes rank 40, the WAL staging shards rank 58, the epoch
-// reader slots rank 12, and the scan-cache entries rank 33. The strictly-greater rule
+// version-chain stripes rank 40, the epoch reader slots rank 12, and the
+// scan-cache entries rank 33. The strictly-greater rule
 // therefore *forbids nesting two stripes of the same family* — exactly the
 // discipline the striped designs rely on (multi-stripe operations such as
-// deadlock DFS, lock escalation, commit stamping, the oldest-pin sweep, and
-// the batch writer's shard drain visit stripes strictly one at a time).
+// deadlock DFS, lock escalation, commit stamping and the oldest-pin sweep
+// visit stripes strictly one at a time).
 //
 // Ranked mutexes (common/mutex.h) feed the tracker from their own
 // Lock/Unlock paths, so a locking site needs no separate declaration. The
@@ -113,7 +111,6 @@ enum class LockRank : int {
   kBtreeLatch = 45,
   kWalFlush = 50,
   kWalSegments = 55,
-  kWalShard = 58,
   kWalBuffer = 60,
   kCatalog = 70,
   kMetricsRegistry = 80,

@@ -136,18 +136,8 @@ Database::Database(DatabaseOptions options)
   log_options.flush_delay_micros = options_.flush_delay_micros;
   log_options.group_commit_window_micros =
       options_.group_commit_window_micros;
-  log_options.dedicated_writer = options_.commit_pipeline;
-  log_options.staging_shards = options_.wal_staging_shards;
-  // The adaptive batching window regrows from the configured group-commit
-  // window and may stretch to 2x under sustained commit load. The cap is
-  // deliberately tight: the window only has to assemble the convoy of
-  // committers released by the previous batch — stragglers arriving later
-  // are accumulated by the fsync itself — so a window anywhere near the
-  // device latency just adds a full sleep to every batch cycle.
-  log_options.batch_window_min_micros = options_.group_commit_window_micros;
-  log_options.batch_window_max_micros =
-      2 * options_.group_commit_window_micros;
   log_options.metrics = &registry_;
+  log_options.clock = clock_;
   log_options.flight = &flight_;
   // Runs once, on the thread whose I/O failure poisoned the WAL, possibly
   // with WAL locks held: flip the gauge, drop a span marker into whatever
@@ -232,6 +222,10 @@ Database::~Database() {
 }
 
 Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
+  if (options.commit_pipeline) {
+    return Status::InvalidArgument(
+        "commit_pipeline was removed; group commit is the only commit path");
+  }
   if (!options.dir.empty()) {
     Env* env = options.env != nullptr ? options.env : Env::Default();
     IVDB_RETURN_NOT_OK(env->EnsureDirectory(options.dir));

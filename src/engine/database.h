@@ -55,20 +55,15 @@ struct DatabaseOptions {
   SyncMode sync = SyncMode::kNone;
   // Simulated stable-storage latency per log flush (see LogManagerOptions).
   uint64_t flush_delay_micros = 0;
-  // Group-commit batching window (see LogManagerOptions). With the commit
-  // pipeline on, this seeds the adaptive batching window's lower bound; the
-  // writer stretches or shrinks the window with load.
+  // Group-commit batching window (see LogManagerOptions): the leader
+  // sleeps this long, through `clock`, before claiming the WAL buffer.
   uint64_t group_commit_window_micros = 0;
-  // Parallel group-commit pipeline (LogManagerOptions::dedicated_writer):
-  // committers stage commit records into per-core shards; a dedicated WAL
-  // writer coalesces everything staged into one segment append and a single
-  // fsync per batch, and commit visibility flips strictly in LSN order off
-  // the durable watermark. On by default; false falls back to the inline
-  // leader/follower group commit (the two produce byte-identical logs for
-  // the same append sequence).
-  bool commit_pipeline = true;
-  // Staging shards for the pipeline; 0 = auto (min(8, hardware threads)).
-  uint32_t wal_staging_shards = 0;
+  // Retired: the dedicated-writer commit pipeline it selected is gone, and
+  // the inline leader/follower group commit is the only commit path. Open()
+  // rejects true with InvalidArgument. The field remains only because the
+  // engine benchmark (enginebench/engine_bench.cc) still assigns it; it is
+  // deleted together with that assignment.
+  bool commit_pipeline = false;
 
   // WAL segment rotation threshold (see LogManagerOptions::segment_bytes);
   // 0 keeps one ever-growing segment.

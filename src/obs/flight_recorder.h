@@ -17,9 +17,9 @@ namespace obs {
 
 // Engine-wide flight recorder (see docs/OBSERVABILITY.md §flight-recorder).
 //
-// Always-on, bounded-memory record of what every engine thread — committers,
-// the dedicated WAL writer, the background checkpointer, the ghost cleaner,
-// the watchdog — was doing over the last N events, kept cheap enough to
+// Always-on, bounded-memory record of what every engine thread — committers
+// (and the group-commit leaders among them), the background checkpointer,
+// the ghost cleaner, the watchdog — was doing over the last N events, kept cheap enough to
 // leave running in production. Distinct from the per-transaction
 // TraceRecorder: that one follows a single transaction through the layers;
 // this one keeps a per-thread timeline so a post-mortem (the black-box dump
@@ -52,7 +52,7 @@ enum class FlightEventType : uint32_t {
   kStageBatchAssembly,  // a = txn id, b = commit lsn
   kStageFsync,          // a = txn id, b = commit lsn
   kStageFlipWait,       // a = txn id, b = commit lsn
-  kWalBatch,            // a = first lsn, b = last lsn (one writer batch)
+  kWalBatch,            // a = first lsn, b = last lsn (one leader batch)
   kWalFsync,            // a = last lsn, b = batch bytes
   kCkptRotate,          // a = checkpoint lsn
   kCkptCapture,         // a = checkpoint lsn, b = capture timestamp

@@ -242,8 +242,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     // LSN, ANY committer running the step-3 sequencer may flip us.
     if (!txn->is_system()) flip_queue_.push_back({commit.lsn, txn});
   }
-  // Stage boundary: the COMMIT record is staged (LSN drawn, shard write
-  // done). Everything since commit_start is "staging_wait"; the flush wait
+  // Stage boundary: the COMMIT record is appended (LSN drawn, record
+  // buffered). Everything since commit_start is "staging_wait"; the flush wait
   // below splits into "batch_assembly" + "fsync"; the remainder of the
   // commit is "flip_wait".
   const uint64_t staged_at = wall_clock_->NowMicros();
@@ -274,7 +274,7 @@ Status TransactionManager::Commit(Transaction* txn) {
       return flush_status;
     }
     flushed_at = wall_clock_->NowMicros();
-    // The writer publishes the measured duration of the batch sync that
+    // The leader publishes the measured duration of the batch sync that
     // advanced the durable watermark; clamp it to this commit's own flush
     // wait (a commit that joined mid-batch waited for less than the whole
     // sync). The clamp keeps the four stages an exact partition of

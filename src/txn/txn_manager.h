@@ -54,11 +54,13 @@ struct TxnManagerMetrics {
   // (`ivdb_commit_stage_micros{stage="..."}`). The four stages partition
   // each commit's latency exactly — per commit they sum to the
   // commit_latency sample recorded from the same timestamps:
-  //   staging_wait    Begin of Commit() to COMMIT record staged (timestamp
-  //                   draw + visibility_mu_ wait + shard staging).
-  //   batch_assembly  Flush-join wait spent before/around the writer's
-  //                   batch fsync: window sleep, shard drain, framing.
-  //   fsync           The durable write itself (the writer's measured batch
+  //   staging_wait    Begin of Commit() to COMMIT record appended
+  //                   (timestamp draw + visibility_mu_ wait + WAL append).
+  //   batch_assembly  Flush-join wait outside the batch write that made
+  //                   this commit durable: the leader's window sleep and
+  //                   buffer claim, or a follower waiting out an earlier
+  //                   leader's batch.
+  //   fsync           The durable write itself (the leader's measured batch
   //                   sync time, clamped to this commit's flush wait).
   //   flip_wait       Post-durability: in-LSN-order visibility flip + END.
   obs::Histogram* stage_staging_wait;
@@ -85,9 +87,9 @@ struct TxnManagerMetrics {
 //      entries share), fire the scan-cache hooks, then publish;
 //   4. append END, release all locks.
 //
-// Step 3 is the in-LSN-order visibility sequencer the parallel group
-// commit relies on: the WAL writer may make several transactions' COMMIT
-// records durable with one fsync, and whichever committer reaches step 3
+// Step 3 is the in-LSN-order visibility sequencer group commit relies on:
+// one group-commit leader may make several transactions' COMMIT records
+// durable with one fsync, and whichever committer reaches step 3
 // first flips ALL of them, in LSN order — a later-LSN commit can never
 // become visible before an earlier one, and visible-timestamp order equals
 // durable-LSN order for user transactions. A committer whose flush FAILS

@@ -119,10 +119,7 @@ LogManagerMetrics::LogManagerMetrics(obs::MetricsRegistry* registry)
       flush_wait_latency(
           registry->GetHistogram("ivdb_wal_flush_wait_micros")),
       batch_records(registry->GetHistogram("ivdb_wal_batch_records")),
-      batch_bytes(registry->GetHistogram("ivdb_wal_batch_bytes")),
-      batch_window(registry->GetHistogram("ivdb_wal_batch_window_micros")),
-      staging_stalls(
-          registry->GetCounter("ivdb_wal_staging_stalls_total")) {}
+      batch_bytes(registry->GetHistogram("ivdb_wal_batch_bytes")) {}
 
 LogManager::LogManager(LogManagerOptions options)
     : options_(std::move(options)),
@@ -134,36 +131,12 @@ LogManager::LogManager(LogManagerOptions options)
                                            : owned_registry_.get()),
       clock_(options_.clock != nullptr ? options_.clock : Clock::Default()) {
   flight_ = options_.flight;
-  if (options_.dedicated_writer) {
-    uint32_t n = options_.staging_shards;
-    if (n == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      n = std::min<uint32_t>(8, hw == 0 ? 1 : hw);
-    }
-    shards_.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<StagingShard>());
-    }
-    policy_ = AdaptiveBatchPolicy(options_.batch_window_min_micros,
-                                  options_.batch_window_max_micros);
-    // Started here rather than in Open() so fixtures that never Open (the
-    // in-memory log) still get a writer; it parks until work arrives.
-    writer_ = std::thread([this] { WriterLoop(); });
-  }
 }
 
 LogManager::~LogManager() {
-  if (writer_.joinable()) {
-    {
-      MutexLock guard(&flush_mu_);
-      writer_stop_ = true;
-      writer_cv_.NotifyAll();
-    }
-    writer_.join();
-  }
   // Destructor: nowhere to surface a close error, and everything acked was
-  // already fsynced — an error here cannot lose acknowledged data. (Staged
-  // frames never flushed are dropped, exactly like the serial buffer_.)
+  // already fsynced — an error here cannot lose acknowledged data. (Records
+  // buffered but never flushed are dropped.)
   if (file_ != nullptr) (void)file_->Close();
 }
 
@@ -283,7 +256,6 @@ Status LogManager::Open() {
 }
 
 Status LogManager::Append(LogRecord* rec) {
-  if (options_.dedicated_writer) return AppendStaged(rec);
   if (poisoned()) {
     return Status::Unavailable("WAL is poisoned; engine is read-only");
   }
@@ -311,27 +283,35 @@ Status LogManager::Append(LogRecord* rec) {
   return Status::OK();
 }
 
-Status LogManager::WriteBatch(const std::string& batch) {
+Status LogManager::WriteBatch(const std::string& batch, uint64_t* write_start,
+                              uint64_t* write_end) {
   // The whole device interaction — append, fsync, and the modelled device
   // latency — counts as the batch's sync time. Published before the durable
   // watermark advances so a committer waking from Flush() reads the duration
   // of the batch that made it durable (see last_batch_fsync_micros()).
-  const uint64_t sync_start = clock_->NowMicros();
+  *write_start = clock_->NowMicros();
+  *write_end = *write_start;
+  Status status = Status::OK();
   if (!batch.empty() && file_ != nullptr) {
-    IVDB_RETURN_NOT_OK(file_->Append(batch));
-    if (options_.sync == SyncMode::kFsync) {
-      IVDB_RETURN_NOT_OK(file_->Sync());
+    status = file_->Append(batch);
+    if (status.ok() && options_.sync == SyncMode::kFsync) {
+      status = file_->Sync();
     }
   }
-  if (options_.flush_delay_micros > 0) {
+  if (status.ok() && options_.flush_delay_micros > 0) {
+    // Real time, not the Clock seam: commit-stage attribution measures
+    // this sleep as the device's share of every commit in the batch.
     std::this_thread::sleep_for(
         std::chrono::microseconds(options_.flush_delay_micros));
   }
   if (!batch.empty()) {
-    last_batch_fsync_micros_.store(clock_->NowMicros() - sync_start,
-                                   std::memory_order_relaxed);
+    *write_end = clock_->NowMicros();
+    if (status.ok()) {
+      last_batch_fsync_micros_.store(*write_end - *write_start,
+                                     std::memory_order_relaxed);
+    }
   }
-  return Status::OK();
+  return status;
 }
 
 Status LogManager::RotateLocked(Lsn seal_end_lsn) {
@@ -365,12 +345,15 @@ Status LogManager::RotateLocked(Lsn seal_end_lsn) {
 
 Status LogManager::LeaderFlushOnce(UniqueMutexLock& lock, bool force_rotate) {
   flusher_active_ = true;
+  // Opens the batch span; the one clock read this pass adds, and only when
+  // a flight recorder is listening.
+  const uint64_t pass_start = flight_ != nullptr ? clock_->NowMicros() : 0;
   if (options_.group_commit_window_micros > 0 && !force_rotate) {
     // Batching window: let committers that are a few microseconds behind
-    // us join this batch instead of waiting a full device latency.
+    // us join this batch instead of waiting a full device latency. Through
+    // the Clock seam, so ManualClock harnesses run it in virtual time.
     lock.Unlock();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.group_commit_window_micros));
+    clock_->SleepMicros(options_.group_commit_window_micros);
     lock.Lock();
   }
   std::string batch;
@@ -380,8 +363,22 @@ Status LogManager::LeaderFlushOnce(UniqueMutexLock& lock, bool force_rotate) {
     batch.swap(buffer_);
     batch_upto = buffered_upto_;
   }
+  // Only a leader advances the watermark, and we are the leader.
+  const Lsn prev = flushed_lsn_.load(std::memory_order_relaxed);
   lock.Unlock();
-  Status status = WriteBatch(batch);
+  uint64_t write_start = 0;
+  uint64_t write_end = 0;
+  Status status = WriteBatch(batch, &write_start, &write_end);
+  if (flight_ != nullptr && !batch.empty()) {
+    // Two spans on the leader's own lane, LSN-correlated with the commit
+    // spans of every batch member: the whole pass (window, buffer claim,
+    // write) and the device interaction alone. Emitted before a failure
+    // poisons the log, so the black-box dump shows the failed batch.
+    flight_->Emit(obs::FlightEventType::kWalBatch, pass_start,
+                  write_end - pass_start, prev + 1, batch_upto);
+    flight_->Emit(obs::FlightEventType::kWalFsync, write_start,
+                  write_end - write_start, batch_upto, batch.size());
+  }
   lock.Lock();
   if (!status.ok()) {
     // Unrecoverable: the batch we swapped out never became durable (and a
@@ -395,12 +392,15 @@ Status LogManager::LeaderFlushOnce(UniqueMutexLock& lock, bool force_rotate) {
     return status;
   }
   metrics_.flushes->Add();
-  Lsn prev = flushed_lsn_.load(std::memory_order_relaxed);
   IVDB_INVARIANT(batch_upto >= prev || batch.empty(),
                  "flushed LSN watermark may only advance");
   if (batch_upto > prev) {
     metrics_.flushed_records->Add(batch_upto - prev);
     flushed_lsn_.store(batch_upto, std::memory_order_release);
+  }
+  if (!batch.empty()) {
+    metrics_.batch_records->Record(batch_upto - prev);
+    metrics_.batch_bytes->Record(batch.size());
   }
   if (file_ != nullptr) {
     uint64_t open_bytes;
@@ -432,7 +432,6 @@ Status LogManager::LeaderFlushOnce(UniqueMutexLock& lock, bool force_rotate) {
 }
 
 Status LogManager::Flush(Lsn upto) {
-  if (options_.dedicated_writer) return FlushStaged(upto);
   UniqueMutexLock lock(&flush_mu_);
   if (flushed_lsn_.load(std::memory_order_acquire) >= upto) {
     return Status::OK();  // already durable: not a flush wait
@@ -463,7 +462,6 @@ Status LogManager::Flush(Lsn upto) {
 
 Status LogManager::RotateNow() {
   if (options_.dir.empty()) return Status::OK();  // in-memory log
-  if (options_.dedicated_writer) return RotateNowStaged();
   UniqueMutexLock lock(&flush_mu_);
   while (flusher_active_) {
     if (poisoned()) {
@@ -477,249 +475,6 @@ Status LogManager::RotateNow() {
   // A leader pass with forced rotation: drains the buffer into the open
   // segment, then seals it (no-op when it holds no records).
   return LeaderFlushOnce(lock, /*force_rotate=*/true);
-}
-
-// --- Dedicated-writer pipeline -------------------------------------------
-
-size_t LogManager::ShardIndex() const {
-  // Stable per-thread shard pick; collisions only share a staging buffer.
-  thread_local const size_t hashed =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return hashed % shards_.size();
-}
-
-Status LogManager::AppendStaged(LogRecord* rec) {
-  if (poisoned()) {
-    // Belt-and-braces: normally a FlushStaged/RotateNowStaged waiter claims
-    // the deferred callback first, but an appender can be the first thread
-    // to observe the poison.
-    FirePendingPoisonCallback();
-    return Status::Unavailable("WAL is poisoned; engine is read-only");
-  }
-  std::string tail;
-  rec->EncodeTailTo(&tail);
-  std::string frame;
-  frame.reserve(8 + 12 + tail.size());  // [len][crc] + max header + tail
-  StagingShard& shard = *shards_[ShardIndex()];
-  uint64_t frame_bytes;
-  {
-    // The LSN is drawn while holding the shard mutex, so a shard's staged
-    // vector is internally LSN-sorted and the writer's cross-shard merge
-    // only ever has *transient* head-of-line gaps (a committer caught
-    // between its fetch_add and its emplace lives in some shard the writer
-    // has yet to drain — and it cannot be THIS shard, which we hold).
-    MutexLock guard(&shard.wal_shard_mu_);
-    rec->lsn = next_lsn_.fetch_add(1, std::memory_order_relaxed);
-    IVDB_INVARIANT(rec->lsn > flushed_lsn_.load(std::memory_order_relaxed),
-                   "WAL LSN must advance past the flushed prefix");
-    frame_bytes = AppendFrame(*rec, tail, &frame);
-    shard.staged.emplace_back(rec->lsn, std::move(frame));
-  }
-  metrics_.records_appended->Add();
-  metrics_.bytes_appended->Add(frame_bytes);
-  appended_bytes_.fetch_add(frame_bytes, std::memory_order_relaxed);
-  obs::EmitTrace(obs::TraceEventType::kWalAppend, rec->lsn, frame_bytes);
-  return Status::OK();
-}
-
-Status LogManager::FlushStaged(Lsn upto) {
-  if (flushed_lsn_.load(std::memory_order_acquire) >= upto) {
-    return Status::OK();  // already durable: not a flush wait
-  }
-  // Visible to the writer as "commit waiters this batch will serve" — the
-  // adaptive policy's load signal.
-  flush_waiters_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t flush_start = clock_->NowMicros();
-  Status result = Status::OK();
-  {
-    UniqueMutexLock lock(&flush_mu_);
-    while (flushed_lsn_.load(std::memory_order_acquire) < upto) {
-      if (poisoned()) {
-        // First waiter in claims the writer's root-cause I/O status; the
-        // rest of the batch learns kUnavailable (the documented
-        // failed-batch-fsync ambiguity: recovery is the arbiter of what
-        // actually landed).
-        result = ClaimPoisonStatusLocked();
-        break;
-      }
-      // Re-requested on every iteration (not just the first) so a wakeup
-      // raced by a concurrent pass can never strand this waiter: either the
-      // watermark already covers us, or the writer has a fresh request.
-      work_requested_ = true;
-      writer_cv_.NotifyOne();
-      flush_cv_.Wait(&lock);
-    }
-  }
-  flush_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  if (!result.ok()) {
-    // Fired here — on the failing committer's thread, inside its trace
-    // scope — not on the writer thread, so the degraded-mode marker lands
-    // in the transaction that surfaces the failure (serial-leader parity).
-    FirePendingPoisonCallback();
-  }
-  IVDB_RETURN_NOT_OK(result);
-  const uint64_t waited = clock_->NowMicros() - flush_start;
-  metrics_.flush_wait_latency->Record(waited);
-  obs::EmitTrace(obs::TraceEventType::kWalFlushJoin, upto, waited);
-  return Status::OK();
-}
-
-Status LogManager::RotateNowStaged() {
-  Status result = Status::OK();
-  {
-    UniqueMutexLock lock(&flush_mu_);
-    if (poisoned()) {
-      result = ClaimPoisonStatusLocked();
-    } else {
-      // Sequence-numbered handshake (see the member comment): the writer
-      // only acks seq values it sampled BEFORE draining, so our records —
-      // staged before this call — are always part of the acking pass's
-      // batch.
-      const uint64_t seq = ++rotate_seq_;
-      writer_cv_.NotifyOne();
-      while (rotate_seq_done_ < seq) {
-        if (poisoned()) {
-          result = ClaimPoisonStatusLocked();
-          break;
-        }
-        flush_cv_.Wait(&lock);
-      }
-    }
-  }
-  if (!result.ok()) FirePendingPoisonCallback();
-  return result;
-}
-
-void LogManager::WriterLoop() {
-  if (flight_ != nullptr) flight_->SetThreadName("wal-writer");
-  for (;;) {
-    bool do_rotate = false;
-    uint64_t rotate_target = 0;
-    {
-      UniqueMutexLock lock(&flush_mu_);
-      while (!work_requested_ && rotate_seq_done_ == rotate_seq_ &&
-             !writer_stop_) {
-        writer_cv_.Wait(&lock);
-      }
-      if (writer_stop_) break;
-      work_requested_ = false;
-      rotate_target = rotate_seq_;
-      do_rotate = rotate_target > rotate_seq_done_;
-    }
-    // Adaptive batching window: committers released by the previous
-    // batch's completion re-commit nearly simultaneously, so the first
-    // stager's wakeup races the rest of the convoy — sleeping a short
-    // window here lets the whole convoy ride one fsync instead of
-    // splitting across two. Through the Clock seam, so ManualClock
-    // harnesses run the pipeline in deterministic virtual time. Skipped
-    // when rotating — RotateNow is a checkpoint-path barrier, not a
-    // commit.
-    const uint64_t window = policy_.window_micros();
-    if (window > 0 && !do_rotate) clock_->SleepMicros(window);
-    WriteStagedBatch(do_rotate, rotate_target);
-  }
-}
-
-void LogManager::WriteStagedBatch(bool do_rotate, uint64_t rotate_target) {
-  if (poisoned()) {
-    // A work request can race the poison; once poisoned no further bytes
-    // may reach the file (and rotations are not acked — their waiters bail
-    // out on the poison check).
-    MutexLock guard(&flush_mu_);
-    flush_cv_.NotifyAll();
-    return;
-  }
-  const uint64_t pass_start = clock_->NowMicros();
-  // Drain every shard into the writer-private reorder map. Shard mutexes
-  // are taken strictly one at a time (they share a rank; nesting two is a
-  // lock-order violation by design).
-  for (auto& shard : shards_) {
-    MutexLock guard(&shard->wal_shard_mu_);
-    for (auto& staged : shard->staged) {
-      pending_frames_.emplace(staged.first, std::move(staged.second));
-    }
-    shard->staged.clear();
-  }
-  // Concatenate the dense LSN prefix. A head-of-line gap means a committer
-  // is between its LSN draw and its staging in an undrained shard; its
-  // Flush() will re-request work, so frames past the gap just wait here.
-  std::string batch;
-  Lsn upto = flushed_lsn_.load(std::memory_order_relaxed);
-  const Lsn batch_first = upto + 1;
-  uint64_t batch_count = 0;
-  while (!pending_frames_.empty() &&
-         pending_frames_.begin()->first == upto + 1) {
-    batch.append(pending_frames_.begin()->second);
-    upto = pending_frames_.begin()->first;
-    ++batch_count;
-    pending_frames_.erase(pending_frames_.begin());
-  }
-  if (!pending_frames_.empty()) metrics_.staging_stalls->Add();
-  const uint32_t waiters = flush_waiters_.load(std::memory_order_relaxed);
-
-  Status status = Status::OK();
-  const uint64_t write_start = clock_->NowMicros();
-  if (!batch.empty() || do_rotate) {
-    // ONE segment append + ONE fsync for the whole batch (WriteBatch also
-    // models the device latency), exactly like the serial leader.
-    status = WriteBatch(batch);
-  }
-  if (flight_ != nullptr && !batch.empty()) {
-    const uint64_t write_end = clock_->NowMicros();
-    // Two spans on the wal-writer lane, LSN-correlated with the committer
-    // stage spans: the whole pass (drain + reorder + write) and the device
-    // interaction alone.
-    flight_->Emit(obs::FlightEventType::kWalBatch, pass_start,
-                  write_end - pass_start, batch_first, upto);
-    flight_->Emit(obs::FlightEventType::kWalFsync, write_start,
-                  write_end - write_start, upto, batch.size());
-  }
-
-  // Pass epilogue under flush_mu_. The durable watermark must not advance
-  // until every env op of this pass — including rotation — has completed:
-  // see the declaration comment (single-threaded determinism).
-  MutexLock guard(&flush_mu_);
-  if (!status.ok()) {
-    PoisonStagedLocked(std::move(status));
-    return;
-  }
-  if (!batch.empty()) {
-    metrics_.flushes->Add();
-    metrics_.batch_records->Record(batch_count);
-    metrics_.batch_bytes->Record(batch.size());
-    metrics_.batch_window->Record(policy_.window_micros());
-    policy_.OnBatch(waiters);
-  }
-  if (file_ != nullptr) {
-    uint64_t open_bytes;
-    {
-      MutexLock seg_guard(&seg_mu_);
-      segments_.back().bytes += batch.size();
-      open_bytes = segments_.back().bytes;
-    }
-    const bool over_threshold =
-        options_.segment_bytes > 0 && open_bytes >= options_.segment_bytes;
-    if ((over_threshold || do_rotate) && open_bytes > 0) {
-      // Every batch lands wholly in the open segment, so its highest LSN
-      // is exactly the durable watermark this pass is about to publish.
-      Status rs = RotateLocked(upto);
-      if (!rs.ok()) {
-        // Same poison rules as a failed batch. The batch itself IS durable,
-        // but its waiters are told the failure — the documented
-        // failed-fsync ambiguity window; recovery is the arbiter.
-        PoisonStagedLocked(std::move(rs));
-        return;
-      }
-    }
-  }
-  const Lsn prev = flushed_lsn_.load(std::memory_order_relaxed);
-  IVDB_INVARIANT(upto >= prev, "flushed LSN watermark may only advance");
-  if (upto > prev) {
-    metrics_.flushed_records->Add(upto - prev);
-    flushed_lsn_.store(upto, std::memory_order_release);
-  }
-  if (do_rotate) rotate_seq_done_ = rotate_target;
-  flush_cv_.NotifyAll();
 }
 
 Status LogManager::RetireSegmentsBelow(Lsn lsn) {
@@ -898,30 +653,6 @@ void LogManager::Poison() {
     // Wake flush followers parked on flush_cv_ so they observe the poison
     // instead of waiting for a durability that will never come.
     flush_cv_.NotifyAll();
-    if (options_.on_poison) options_.on_poison();
-  }
-}
-
-void LogManager::PoisonStagedLocked(Status cause) {
-  if (staged_error_.ok()) staged_error_ = std::move(cause);
-  if (!poisoned_.exchange(true, std::memory_order_acq_rel)) {
-    // Defer the callback: the writer thread has no transaction context, so
-    // the first waiter to observe the poison fires it from its own scope.
-    poison_callback_pending_.store(true, std::memory_order_release);
-  }
-  flush_cv_.NotifyAll();
-}
-
-Status LogManager::ClaimPoisonStatusLocked() {
-  if (!staged_error_claimed_ && !staged_error_.ok()) {
-    staged_error_claimed_ = true;
-    return staged_error_;
-  }
-  return Status::Unavailable("WAL is poisoned; engine is read-only");
-}
-
-void LogManager::FirePendingPoisonCallback() {
-  if (poison_callback_pending_.exchange(false, std::memory_order_acq_rel)) {
     if (options_.on_poison) options_.on_poison();
   }
 }

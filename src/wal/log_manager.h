@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -18,7 +16,6 @@
 #include "common/status.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "wal/batch_policy.h"
 #include "wal/log_record.h"
 
 namespace ivdb {
@@ -48,7 +45,7 @@ struct LogManagerOptions {
   // leader waits this long before claiming the buffer, letting concurrent
   // committers append into its batch. Worth a fraction of
   // flush_delay_micros under concurrent commit load; adds that much commit
-  // latency when a single transaction commits alone.
+  // latency when a single transaction commits alone. Slept through `clock`.
   uint64_t group_commit_window_micros = 0;
   // File-system seam; nullptr => Env::Default(). Tests inject a
   // FaultInjectionEnv here to crash the log at exact write/sync boundaries.
@@ -56,7 +53,8 @@ struct LogManagerOptions {
   // Unified metrics registry (`ivdb_wal_*` instruments); nullptr => the
   // manager owns a private registry.
   obs::MetricsRegistry* metrics = nullptr;
-  // Time source for flush-latency accounting; nullptr => Clock::Default().
+  // Time source for flush-latency accounting and the batching window;
+  // nullptr => Clock::Default().
   Clock* clock = nullptr;
   // Invoked exactly once, on the transition into the poisoned (degraded)
   // state — see Poison(). The engine hooks this to flip its degraded gauge
@@ -64,34 +62,10 @@ struct LogManagerOptions {
   // thread, possibly while WAL-internal locks are held; keep it cheap and
   // do not call back into the log manager.
   std::function<void()> on_poison = nullptr;
-  // Engine flight recorder: the dedicated writer names its lane
-  // ("wal-writer") and records per-batch assembly/fsync spans on it.
-  // nullptr disables the instrumentation.
+  // Engine flight recorder: each group-commit leader records its batch
+  // (first/last LSN) and device-write spans on its own lane. nullptr
+  // disables the instrumentation.
   obs::FlightRecorder* flight = nullptr;
-
-  // --- Parallel group-commit pipeline ---
-
-  // With true, committers stage framed records into per-core shards and a
-  // dedicated WAL-writer thread coalesces everything staged into one
-  // segment append with a single fsync per batch; Flush() becomes
-  // "hand the writer work, wait for the durable watermark". With false
-  // (the default for direct LogManager users), the original inline
-  // leader/follower group commit runs instead — the two paths produce
-  // byte-identical logs for the same append sequence.
-  bool dedicated_writer = false;
-  // Number of staging shards (dedicated-writer mode); 0 = auto
-  // (min(8, hardware threads)). Committers hash onto shards by thread.
-  uint32_t staging_shards = 0;
-  // Adaptive batching window bounds for the dedicated writer (see
-  // wal/batch_policy.h). The writer sleeps the current window after each
-  // wakeup so concurrent committers join the batch; the policy doubles or
-  // halves the window inside [min, max] based on commits-per-batch. The
-  // window's job is convoy assembly — committers released together by the
-  // previous batch re-commit together — so the max should stay well below
-  // the device latency: the fsync itself already accumulates stragglers.
-  // With both 0 the writer never waits (each wakeup seals immediately).
-  uint64_t batch_window_min_micros = 0;
-  uint64_t batch_window_max_micros = 0;
 };
 
 // WAL instruments; see docs/OBSERVABILITY.md for the naming scheme.
@@ -109,17 +83,12 @@ struct LogManagerMetrics {
   // durable (`ivdb_wal_flush_wait_micros`): group commit shows up here as a
   // tight distribution near the device latency.
   obs::Histogram* flush_wait_latency;
-  // Dedicated-writer pipeline: per-sealed-batch record count / byte size /
-  // batching-window width (`ivdb_wal_batch_*`). fsyncs-per-commit is
-  // flushes / committed-txns; batch_records p50/p99 is the direct view of
-  // how much coalescing each fsync buys.
+  // Per-leader-batch record count and byte size (`ivdb_wal_batch_*`),
+  // recorded once for each non-empty batch a group-commit leader writes.
+  // fsyncs-per-commit is flushes / committed-txns; batch_records p50/p99 is
+  // the direct view of how much coalescing each fsync buys.
   obs::Histogram* batch_records;
   obs::Histogram* batch_bytes;
-  obs::Histogram* batch_window;
-  // Times the writer found a head-of-line gap in the staged LSN stream (a
-  // committer was mid-append in another shard) and had to re-run
-  // (`ivdb_wal_staging_stalls_total`).
-  obs::Counter* staging_stalls;
 
   explicit LogManagerMetrics(obs::MetricsRegistry* registry);
 };
@@ -237,9 +206,9 @@ class LogManager {
   // are skipped without being opened (the in-memory manifest knows their
   // LSN ranges), and the open segment is decoded tolerantly (a concurrent
   // append can only expose a prefix, so decoding stops at the last whole
-  // record exactly like recovery's torn-tail case). Records buffered or
-  // staged but not yet written to the file are not seen — callers that
-  // need the complete tail Flush() first. The caller must hold a retention
+  // record exactly like recovery's torn-tail case). Records buffered but
+  // not yet written to the file are not seen — callers that need the
+  // complete tail Flush() first. The caller must hold a retention
   // floor at or below from_lsn (SetRetainLsnFloor) so a concurrent
   // checkpoint cannot retire segments out from under the read.
   Status ReadTail(Lsn from_lsn, std::vector<LogRecord>* records,
@@ -296,8 +265,11 @@ class LogManager {
                                  std::vector<SegmentReadStats>* segment_stats);
 
   // Writes a batch to the open segment (plus fsync / simulated latency).
-  // Called by the leader with no locks held.
-  Status WriteBatch(const std::string& batch);
+  // Called by the leader with no locks held. `write_start`/`write_end`
+  // receive the clock reads that bracket the device interaction (the end
+  // read is taken only for a non-empty batch).
+  Status WriteBatch(const std::string& batch, uint64_t* write_start,
+                    uint64_t* write_end);
 
   // One leader pass: claim the buffer, write it, advance the durable
   // watermark, and rotate if the open segment crossed the threshold (or
@@ -312,43 +284,6 @@ class LogManager {
   // Seals the open segment (fsync + close), creates the next one, and
   // updates the manifest. Leader-exclusive (flusher_active_ true or Open).
   Status RotateLocked(Lsn seal_end_lsn);
-
-  // --- Dedicated-writer pipeline (options_.dedicated_writer) ---
-
-  // Stable per-thread shard pick (hash of thread id onto shards_.size()).
-  size_t ShardIndex() const;
-
-  // Body of the WAL-writer thread: park on writer_cv_ until work is
-  // requested, sleep the adaptive batching window, then run one
-  // WriteStagedBatch pass. Exits when writer_stop_ is set.
-  void WriterLoop();
-
-  // One writer pass: drain every staging shard into pending_frames_, write
-  // the dense LSN prefix as ONE segment append + ONE fsync, rotate if due
-  // (or `do_rotate`), then — under flush_mu_ — advance flushed_lsn_, ack
-  // rotation up to `rotate_target`, feed the policy, and wake flush
-  // waiters. The durable watermark deliberately advances only at the END
-  // of the pass (after rotation I/O): a flush waiter that returns has
-  // therefore observed every env op of its batch complete, which keeps
-  // single-threaded workloads' env-op streams deterministic.
-  void WriteStagedBatch(bool do_rotate, uint64_t rotate_target);
-
-  // Dedicated-mode halves of the public entry points.
-  Status AppendStaged(LogRecord* rec);
-  Status FlushStaged(Lsn upto);
-  Status RotateNowStaged();
-
-  // Writer-thread poison: records the root-cause status and defers the
-  // on_poison callback instead of firing it on the writer thread (which has
-  // no transaction context). The first committer/checkpointer to observe
-  // the poison *claims* both — ClaimPoisonStatusLocked hands it the real
-  // I/O status (everyone after gets kUnavailable) and
-  // FirePendingPoisonCallback runs the callback on its thread — mirroring
-  // the serial path, where the group-commit leader both performs the
-  // failing I/O and reports it from its own commit scope.
-  void PoisonStagedLocked(Status cause) IVDB_REQUIRES(flush_mu_);
-  Status ClaimPoisonStatusLocked() IVDB_REQUIRES(flush_mu_);
-  void FirePendingPoisonCallback();
 
   LogManagerOptions options_;
   Env* env_ = nullptr;  // options_.env resolved against Env::Default()
@@ -384,54 +319,6 @@ class LogManager {
   std::atomic<uint64_t> last_batch_fsync_micros_{0};
   std::atomic<bool> poisoned_{false};
   obs::FlightRecorder* flight_ = nullptr;  // options_.flight
-
-  // --- Dedicated-writer pipeline state (unused in serial mode) ---
-
-  // One commit-staging shard. Committers hash onto shards by thread; the
-  // LSN is drawn *inside* the shard mutex so each shard's staged frames are
-  // internally LSN-ordered, and the writer's merge across shards is a dense
-  // stream except for committers caught mid-append elsewhere. alignas keeps
-  // independent committers off each other's cache line.
-  struct alignas(64) StagingShard {
-    RankedMutex wal_shard_mu_{LockRank::kWalShard, "wal_shard_mu_"};
-    // Framed records ([len][crc][body]) staged and not yet drained.
-    std::vector<std::pair<Lsn, std::string>> staged
-        IVDB_GUARDED_BY(wal_shard_mu_);
-  };
-  std::vector<std::unique_ptr<StagingShard>> shards_;
-
-  // Writer parking + request flags ride the existing flush_mu_ (rank 50);
-  // flush_cv_ doubles as the "durable watermark advanced" broadcast.
-  CondVar writer_cv_;
-  bool writer_stop_ IVDB_GUARDED_BY(flush_mu_) = false;
-  bool work_requested_ IVDB_GUARDED_BY(flush_mu_) = false;
-  // RotateNow() handshake, sequence-numbered so a request that lands while
-  // a pass is already in flight is never satisfied by that pass (which
-  // sampled its drain before the request's records were staged): a caller
-  // takes seq = ++rotate_seq_ and waits for rotate_seq_done_ >= seq; the
-  // writer samples rotate_seq_ at pass START (before draining) and sets
-  // rotate_seq_done_ to the sampled value only after its rotation lands.
-  uint64_t rotate_seq_ IVDB_GUARDED_BY(flush_mu_) = 0;
-  uint64_t rotate_seq_done_ IVDB_GUARDED_BY(flush_mu_) = 0;
-
-  // Root cause of a writer-thread poison and whether a waiter has already
-  // claimed it (see PoisonStagedLocked). The callback flag is atomic so
-  // AppendStaged can claim it without touching flush_mu_.
-  Status staged_error_ IVDB_GUARDED_BY(flush_mu_);
-  bool staged_error_claimed_ IVDB_GUARDED_BY(flush_mu_) = false;
-  std::atomic<bool> poison_callback_pending_{false};
-
-  // Committers currently inside FlushStaged() — the writer reads this as
-  // the "commit waiters served" signal for the adaptive batch policy.
-  std::atomic<uint32_t> flush_waiters_{0};
-
-  // Writer-thread-private: frames drained from shards but not yet written
-  // because of a head-of-line LSN gap, keyed by LSN. No lock — only the
-  // writer thread touches it.
-  std::map<Lsn, std::string> pending_frames_;
-  AdaptiveBatchPolicy policy_{0, 0};
-
-  std::thread writer_;
 };
 
 }  // namespace ivdb

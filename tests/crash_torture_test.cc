@@ -408,29 +408,29 @@ TEST(CrashTorture, DegradedModeEverySyncBoundarySweep) {
   }
 }
 
-// --- Batched-commit crash sweep (parallel group-commit pipeline) ----------
+// --- Batched-commit crash sweep (group commit) -----------------------------
 //
-// The dedicated-writer WAL coalesces several transactions' records into ONE
-// segment append with ONE fsync. That introduces new env-op boundaries: a
-// crash can now land between staging and the batch append, inside the batch
-// append, between the append and its fsync, or inside a rotation that a
-// batched pass performed. The sweep below scripts a deterministic
-// multi-transaction batch workload directly against a pipelined LogManager
-// (single driver thread, so the env-op stream is exactly reproducible),
-// crashes at every boundary, and checks the group-commit durability
-// contract after recovery: the surviving record stream is a dense LSN
-// prefix (a batch can tear only at its tail, never leave a hole), and it
-// covers every LSN whose Flush() was acknowledged before the crash.
+// Group commit coalesces several transactions' records into ONE segment
+// append with ONE fsync. That introduces new env-op boundaries: a crash can
+// land between the appends and the batch write, inside the batch append,
+// between the append and its fsync, or inside a rotation that a batched
+// pass performed. The sweep below scripts a deterministic
+// multi-transaction batch workload directly against a LogManager (single
+// driver thread, so the env-op stream is exactly reproducible), crashes at
+// every boundary, and checks the group-commit durability contract after
+// recovery: the surviving record stream is a dense LSN prefix (a batch can
+// tear only at its tail, never leave a hole), and it covers every LSN whose
+// Flush() was acknowledged before the crash.
 
 struct BatchScriptResult {
   Lsn acked = 0;      // highest LSN whose Flush() returned OK
-  Lsn appended = 0;   // highest LSN ever staged
+  Lsn appended = 0;   // highest LSN ever appended
   int64_t batch_fsyncs = 0;  // WAL flush batches performed
   bool finished = false;
 };
 
 // Eight rounds of four transactions (BEGIN + INSERT + COMMIT records each),
-// all staged before one Flush() covers the round — so each round is one
+// all appended before one Flush() covers the round — so each round is one
 // multi-transaction batch append. Tiny segments force rotations inside
 // batched passes. Stops at the first injected failure.
 void RunBatchScript(const std::string& dir, Env* env,
@@ -440,8 +440,6 @@ void RunBatchScript(const std::string& dir, Env* env,
   options.env = env;
   options.sync = SyncMode::kFsync;
   options.segment_bytes = 1024;
-  options.dedicated_writer = true;
-  options.staging_shards = 2;
   LogManager log(options);
   if (!log.Open().ok()) return;
   TxnId txn = 0;
@@ -516,7 +514,7 @@ TEST(CrashTorture, BatchedCommitEveryOpBoundarySweep) {
     }
     // Ack-iff-durable across every batching boundary: everything
     // acknowledged before the crash is on disk, and nothing appears that
-    // was never staged.
+    // was never appended.
     ASSERT_GE(static_cast<Lsn>(records.size()), out.acked)
         << "acknowledged batch prefix lost";
     ASSERT_LE(static_cast<Lsn>(records.size()), full_appended);

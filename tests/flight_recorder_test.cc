@@ -185,13 +185,13 @@ TEST(FlightRecorder, TwoRecordersKeepLanesSeparate) {
 TEST(FlightRecorder, SnapshotJsonCarriesFormatVersionAndEvents) {
   ManualClock clock(500);
   FlightRecorder rec(SmallOptions(&clock));
-  rec.SetThreadName("wal-writer");
+  rec.SetThreadName("committer-3");
   rec.Emit(FlightEventType::kWalBatch, 500, 40, /*a=*/1, /*b=*/9);
   std::string json = rec.Snap().ToJson();
   // The versioned envelope ivdb_trace keys on.
   EXPECT_NE(json.find("\"flight_recorder\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"now_micros\":500"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"name\":\"wal-writer\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\":\"committer-3\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"type\":\"wal_batch\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"start_micros\":500"), std::string::npos) << json;
   EXPECT_NE(json.find("\"dur_micros\":40"), std::string::npos) << json;

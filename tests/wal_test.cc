@@ -630,11 +630,10 @@ size_t VarintLength(uint64_t v) {
 // Appends one record of every kind (LSNs starting above `lsn_floor`),
 // flushes, and checks that the segment holds exactly the reference frames
 // and that each decodes back to the appended record.
-void ExpectFramesMatchReference(const std::string& dir, bool dedicated_writer,
-                                Lsn lsn_floor, size_t lsn_varint_bytes) {
+void ExpectFramesMatchReference(const std::string& dir, Lsn lsn_floor,
+                                size_t lsn_varint_bytes) {
   LogManagerOptions options;
   options.dir = dir;
-  options.dedicated_writer = dedicated_writer;
   LogManager log(options);
   ASSERT_TRUE(log.Open().ok());
   if (lsn_floor > 0) log.AdvancePastLsn(lsn_floor);
@@ -680,24 +679,11 @@ TEST(LogRecordCodec, EncodeToIsHeaderPlusTail) {
 }
 
 TEST_F(WalTest, AppendFramesAreByteIdenticalWithOneByteLsns) {
-  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/false,
-                             /*lsn_floor=*/0, /*lsn_varint_bytes=*/1);
+  ExpectFramesMatchReference(dir_, /*lsn_floor=*/0, /*lsn_varint_bytes=*/1);
 }
 
 TEST_F(WalTest, AppendFramesAreByteIdenticalWithNineByteLsns) {
-  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/false,
-                             /*lsn_floor=*/uint64_t{1} << 56,
-                             /*lsn_varint_bytes=*/9);
-}
-
-TEST_F(WalTest, StagedAppendFramesAreByteIdentical) {
-  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/true,
-                             /*lsn_floor=*/0, /*lsn_varint_bytes=*/1);
-}
-
-TEST_F(WalTest, StagedAppendFramesAreByteIdenticalWithNineByteLsns) {
-  ExpectFramesMatchReference(dir_, /*dedicated_writer=*/true,
-                             /*lsn_floor=*/uint64_t{1} << 56,
+  ExpectFramesMatchReference(dir_, /*lsn_floor=*/uint64_t{1} << 56,
                              /*lsn_varint_bytes=*/9);
 }
 

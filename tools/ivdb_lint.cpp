@@ -32,6 +32,11 @@
 //                          the token-level analysis (and any human reading
 //                          a deadlock report) keys mutexes by member name,
 //                          so names are globally unique by policy.
+//   unused-rank            A LockRank enumerator that no RankedMutex /
+//                          RankedSharedMutex declaration uses: dead
+//                          hierarchy left behind by deleted code. (A file
+//                          that carries its own LockRank enum — a fixture
+//                          or self-test snippet — is checked against it.)
 //
 // Per-file rules (see docs/INTERNALS.md "Correctness tooling"):
 //   naked-mutex-lock   Never call .lock()/.unlock()/.try_lock() directly on a
@@ -528,19 +533,34 @@ struct LockEdge {
   int line = 0;
 };
 
-// Pass 0: `kName = <int>` entries of the `enum class LockRank` block.
-std::map<std::string, int> ParseRanks(const std::string& stripped) {
-  std::map<std::string, int> ranks;
+// Pass 0: `kName = <int>` entries of the `enum class LockRank` block, in
+// declaration order, with the line each is declared on.
+struct RankEntry {
+  std::string name;
+  int value = 0;
+  int line = 0;
+};
+
+std::vector<RankEntry> ParseRankEntries(const std::string& stripped) {
+  std::vector<RankEntry> entries;
   size_t start = stripped.find("enum class LockRank");
-  if (start == std::string::npos) return ranks;
+  if (start == std::string::npos) return entries;
   size_t end = stripped.find("};", start);
   const std::string block = stripped.substr(
       start, end == std::string::npos ? std::string::npos : end - start);
   static const std::regex re(R"((k[A-Za-z0-9_]+)\s*=\s*([0-9]+))");
   for (auto it = std::sregex_iterator(block.begin(), block.end(), re);
        it != std::sregex_iterator(); ++it) {
-    ranks[(*it)[1].str()] = std::stoi((*it)[2].str());
+    entries.push_back(
+        {(*it)[1].str(), std::stoi((*it)[2].str()),
+         LineOf(stripped, start + static_cast<size_t>(it->position(0)))});
   }
+  return entries;
+}
+
+std::map<std::string, int> ParseRanks(const std::string& stripped) {
+  std::map<std::string, int> ranks;
+  for (const RankEntry& e : ParseRankEntries(stripped)) ranks[e.name] = e.value;
   return ranks;
 }
 
@@ -589,6 +609,24 @@ void CollectMutexDecls(const std::string& path, const FileContent& fc,
         {path, LineOf(s, static_cast<size_t>(it->position(0))), "unranked-mutex",
          "RankedMutex `" + (*it)[2].str() +
              "` declared without {LockRank::<rank>, \"<name>\"}"});
+  }
+}
+
+// unused-rank: every enumerator of the LockRank enum in `enum_stripped`
+// (the file at `enum_path`) must key at least one collected declaration.
+void CheckUnusedRanks(const std::string& enum_path,
+                      const std::string& enum_stripped,
+                      const std::vector<MutexDecl>& decls,
+                      std::vector<Finding>* findings) {
+  std::set<std::string> used;
+  for (const MutexDecl& d : decls) used.insert(d.rank_name);
+  for (const RankEntry& e : ParseRankEntries(enum_stripped)) {
+    if (used.count(e.name) != 0) continue;
+    findings->push_back(
+        {enum_path, e.line, "unused-rank",
+         "LockRank::" + e.name + " (" + std::to_string(e.value) +
+             ") is used by no RankedMutex/RankedSharedMutex declaration; "
+             "delete the rank with the code it ordered"});
   }
 }
 
@@ -1014,6 +1052,9 @@ void RunLockAnalysis(
   }
   std::vector<LockEdge> edges;
   for (const auto& [path, fc] : files) {
+    if (path == "src/common/lock_order.h") {
+      CheckUnusedRanks(path, fc.stripped, decls, findings);
+    }
     if (LockAnalysisExcluded(path)) continue;
     const std::string stem = StemOf(path);
     AnalyzeFile(path, fc, known, fns_by_stem[stem], fields_by_stem[stem],
@@ -1031,7 +1072,15 @@ std::vector<Finding> AnalyzeSingleFile(const std::string& path,
   const FileContent fc = MakeFileContent(raw);
   std::vector<Finding> findings;
   std::vector<MutexDecl> decls;
-  CollectMutexDecls(path, fc, ranks, &decls, &findings);
+  // A file with its own LockRank enum is a miniature hierarchy: its
+  // declarations are keyed into that enum, and every rank in it must be
+  // used.
+  const std::map<std::string, int> local_ranks = ParseRanks(fc.stripped);
+  CollectMutexDecls(path, fc, local_ranks.empty() ? ranks : local_ranks,
+                    &decls, &findings);
+  if (!local_ranks.empty()) {
+    CheckUnusedRanks(path, fc.stripped, decls, &findings);
+  }
   CheckStdMutexTokens(path, fc, &findings);
   // Fixtures exercise the epoch-retire discipline too (the rule is
   // per-file, so running it here keeps fixture analysis self-contained).
@@ -1538,6 +1587,20 @@ int SelfTest() {
          "RankedMutex e_mu_{LockRank::kA, \"e_mu_\"};\n"
          "RankedMutex e_mu_{LockRank::kB, \"e_mu_\"};\n",
          "mutex-name-collision"},
+        {"rank no mutex uses fires",
+         "enum class LockRank : int {\n  kA = 10,\n  kB = 20,\n};\n"
+         "RankedMutex f_mu_{LockRank::kA, \"f_mu_\"};\n",
+         "unused-rank"},
+        {"rank used only in a comment fires",
+         "enum class LockRank : int {\n  kA = 10,\n  kB = 20,\n};\n"
+         "RankedMutex f_mu_{LockRank::kA, \"f_mu_\"};\n"
+         "// RankedMutex g_mu_{LockRank::kB, \"g_mu_\"};\n",
+         "unused-rank"},
+        {"every rank used is fine",
+         "enum class LockRank : int {\n  kA = 10,\n  kB = 20,\n};\n"
+         "RankedMutex f_mu_{LockRank::kA, \"f_mu_\"};\n"
+         "RankedSharedMutex g_mu_{LockRank::kB, \"g_mu_\"};\n",
+         nullptr},
     };
     for (const LockCase& c : lock_cases) {
       const std::vector<Finding> findings =

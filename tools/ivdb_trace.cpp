@@ -5,12 +5,13 @@
 //
 //   ivdb_trace <snapshot.json> [out.json]     # default out: stdout
 //
-// The export keeps one lane per engine thread (committers, wal-writer,
-// checkpointer, ghost-cleaner, watchdog), emits complete "X" spans with
-// microsecond timestamps, and carries each event's arguments under
-// type-aware keys — commit stage spans and WAL batch/fsync spans both carry
-// the LSN, so a commit can be visually correlated with the exact writer
-// batch that made it durable.
+// The export keeps one lane per engine thread (committers, checkpointer,
+// ghost-cleaner, watchdog), emits complete "X" spans with microsecond
+// timestamps, and carries each event's arguments under type-aware keys —
+// commit stage spans and WAL batch/fsync spans both carry the LSN, so a
+// commit can be visually correlated with the exact group-commit batch that
+// made it durable. Batch spans sit on the lane of the committer that led
+// the batch.
 //
 // Self-contained on purpose (no ivdb libs): it must keep working on a
 // snapshot file even when the engine that wrote it cannot be rebuilt.
